@@ -76,7 +76,13 @@ struct BenchRow {
   double real_ms = 0;
   double cpu_ms = 0;
   std::vector<std::pair<std::string, double>> counters;
+  /// Threads the timed phase ran on.
+  size_t threads = 1;
 };
+
+/// Logical CPUs of the machine; a hardware-default thread count resolves
+/// to this, and the artifact's context records it.
+size_t NumCpus() { return std::max(1u, std::thread::hardware_concurrency()); }
 
 JsonValue RowToJson(const BenchRow& row) {
   JsonValue r = JsonValue::Object();
@@ -85,7 +91,7 @@ JsonValue RowToJson(const BenchRow& row) {
   r.Set("run_type", JsonValue::Str("iteration"));
   r.Set("repetitions", JsonValue::Int(1));
   r.Set("repetition_index", JsonValue::Int(0));
-  r.Set("threads", JsonValue::Int(1));
+  r.Set("threads", JsonValue::Int(static_cast<int64_t>(row.threads)));
   r.Set("iterations", JsonValue::Int(1));
   r.Set("real_time", JsonValue::Number(row.real_ms));
   r.Set("cpu_time", JsonValue::Number(row.cpu_ms));
@@ -123,6 +129,7 @@ Status WriteJsonArtifact(
   context.Set("date", JsonValue::Str(Iso8601Now()));
   context.Set("executable", JsonValue::Str("macro_scale"));
   context.Set("library_build_type", JsonValue::Str(BuildType()));
+  context.Set("num_cpus", JsonValue::Int(static_cast<int64_t>(NumCpus())));
   // The content hash of each generated corpus file, keyed by size: two
   // artifacts with equal hashes measured byte-identical inputs, so their
   // load times are comparable; differing hashes explain a shifted baseline.
@@ -217,9 +224,7 @@ Status RunScale(uint64_t num_facts, const FlagParser& flags,
   // --- Parallel columnar load (same corpus, thread pool). ---------------
   {
     size_t load_threads = static_cast<size_t>(flags.GetInt64("load_threads"));
-    if (load_threads == 0) {
-      load_threads = std::max(1u, std::thread::hardware_concurrency());
-    }
+    if (load_threads == 0) load_threads = NumCpus();
     double par_wall_ms = 0, par_cpu_ms = 0;
     size_t par_facts = 0, par_sources = 0;
     for (int64_t rep = 0; rep < load_reps; ++rep) {
@@ -249,7 +254,7 @@ Status RunScale(uint64_t num_facts, const FlagParser& flags,
           "parallel and serial columnar loads disagree on the corpus shape");
     }
     BenchRow par_row{"MacroParallelLoad/" + suffix, par_wall_ms, par_cpu_ms,
-                     {}};
+                     {}, load_threads};
     const double par_speedup = par_wall_ms > 0 ? columnar_ms / par_wall_ms : 0;
     par_row.counters.emplace_back("load_threads",
                                   static_cast<double>(load_threads));
@@ -385,15 +390,16 @@ Status RunScale(uint64_t num_facts, const FlagParser& flags,
     rdf::KnowledgeBase kb(corpus.shared_dict());
     core::MidasOptions options;
     core::MidasAlg detector(options);
+    size_t threads = static_cast<size_t>(flags.GetInt64("threads"));
+    if (threads == 0) threads = NumCpus();
     core::FrameworkOptions framework_options;
-    framework_options.num_threads =
-        static_cast<size_t>(flags.GetInt64("threads"));
+    framework_options.num_threads = threads;
     framework_options.corpus_fingerprint = fingerprint;
     core::MidasFramework framework(&detector, framework_options);
     timer.Restart();
     auto result = framework.Run(corpus, kb);
     BenchRow disc_row{"MacroDiscover/" + suffix, timer.WallMs(),
-                      timer.CpuMs(), {}};
+                      timer.CpuMs(), {}, threads};
     disc_row.counters.emplace_back("slices",
                                    static_cast<double>(result.slices.size()));
     disc_row.counters.emplace_back(

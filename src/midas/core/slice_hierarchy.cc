@@ -1,8 +1,8 @@
 #include "midas/core/slice_hierarchy.h"
 
 #include <algorithm>
+#include <atomic>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "midas/fault/fault.h"
@@ -14,18 +14,6 @@ namespace midas {
 namespace core {
 
 namespace {
-
-/// Registry name for a per-level construction counter. Levels above the
-/// cap share one bucket so a deep hierarchy cannot explode metric
-/// cardinality. ([[maybe_unused]]: call sites compile out under
-/// MIDAS_OBS_NOOP.)
-[[maybe_unused]] std::string LevelMetricName(size_t level, const char* what) {
-  constexpr size_t kLevelMetricCap = 16;
-  if (level > kLevelMetricCap) {
-    return std::string("hierarchy.level.16plus.") + what;
-  }
-  return "hierarchy.level." + std::to_string(level) + "." + what;
-}
 
 // Zobrist-style commutative hash: XOR of per-property mixes. Deleting a
 // property is one more XOR, so parent generation derives every candidate's
@@ -52,8 +40,30 @@ void EraseValue(Vec* v, uint32_t value) {
 
 }  // namespace
 
+obs::Counter* HierarchyLevelCounter(size_t level, HierarchyLevelMetric what) {
+  constexpr size_t kLevelMetricCap = 16;
+  constexpr size_t kNumMetrics = 3;
+  static std::atomic<obs::Counter*> cache[kLevelMetricCap + 1][kNumMetrics];
+  const auto metric = static_cast<size_t>(what);
+  std::atomic<obs::Counter*>& slot =
+      cache[std::min(std::max<size_t>(level, 1), kLevelMetricCap + 1) - 1]
+           [metric];
+  obs::Counter* counter = slot.load(std::memory_order_acquire);
+  if (counter == nullptr) {
+    // Racing first uses resolve the same registry entry.
+    static constexpr const char* kWhat[kNumMetrics] = {"nodes", "dedup_hits",
+                                                       "eval_us"};
+    const std::string bucket =
+        level > kLevelMetricCap ? "16plus" : std::to_string(level);
+    counter = obs::Registry::Global().GetCounter("hierarchy.level." + bucket +
+                                                 "." + kWhat[metric]);
+    slot.store(counter, std::memory_order_release);
+  }
+  return counter;
+}
+
 /// See header: reusable set-profit accumulator + epoch-marked node dedup,
-/// one instance per worker chunk.
+/// one instance per build.
 struct SliceHierarchy::LbScratch {
   explicit LbScratch(const ProfitContext& ctx) : acc(ctx) {}
 
@@ -162,9 +172,6 @@ void SliceHierarchy::Build(
   MIDAS_OBS_SPAN(build_span, "hierarchy.build");
   const uint64_t build_start_ns = MIDAS_OBS_NOW_NS();
   (void)build_start_ns;  // unused in a MIDAS_OBS_NOOP build
-  resolved_threads_ = options_.num_threads == 0
-                          ? std::max<size_t>(1, std::thread::hardware_concurrency())
-                          : options_.num_threads;
 
   // Mint initial nodes (deduplicated by property set). A cap hit only
   // drops the seed at hand: later seeds may still dedup into existing
@@ -199,10 +206,9 @@ void SliceHierarchy::Build(
       ++stats_.initial_slices;
     }
   }
-  EvaluatePending();
 
-  // Per-worker lower-bound scratch, reused across all levels.
-  std::vector<std::unique_ptr<LbScratch>> lb_scratch(resolved_threads_);
+  // Lower-bound scratch, reused across all levels.
+  LbScratch lb_scratch(profit_);
   // Canonical survivors of the current level (refilled per level).
   std::vector<uint32_t> lb_batch;
   // Parent-generation scratch, reused across all nodes and levels.
@@ -211,12 +217,17 @@ void SliceHierarchy::Build(
 
   const size_t top_level = stats_.max_level;
   for (size_t level = top_level; level >= 1; --level) {
-    // Deadline check at the level boundary: every node minted so far is
-    // fully evaluated, so stopping here leaves a traversable (if unpruned)
-    // lattice — the best-so-far contract of docs/ROBUSTNESS.md.
+    // Deadline check at the level boundary. Levels above this one are
+    // pruned and their survivors evaluated; this level and those below are
+    // unpruned and unevaluated. Evaluating them before stopping leaves a
+    // traversable (if unpruned) lattice — the best-so-far contract of
+    // docs/ROBUSTNESS.md.
     if (options_.cancel != nullptr && options_.cancel->Expired()) {
       stats_.partial = true;
       MIDAS_OBS_ADD(MIDAS_OBS_COUNTER("hierarchy.deadline_stops"), 1);
+      for (size_t l = 1; l <= level && l < by_level_.size(); ++l) {
+        EvaluateNodes(by_level_[l]);
+      }
       break;
     }
     const uint64_t level_start_ns = MIDAS_OBS_NOW_NS();
@@ -224,9 +235,8 @@ void SliceHierarchy::Build(
     (void)level_start_ns;  // unused in a MIDAS_OBS_NOOP build
     (void)level_dedup_before;
     // (a) Construct parents at level-1 before pruning this level, so that
-    // removing a non-canonical node can re-link its children upward. Only
-    // the dedup walk is serial; the minted shells are evaluated afterwards
-    // as one index-ordered (possibly parallel) batch.
+    // removing a non-canonical node can re-link its children upward. The
+    // minted shells stay unevaluated until their own level is pruned.
     if (level >= 2 && level < by_level_.size()) {
       // Note: by_level_[level] is final here — parents land at level-1.
       for (uint32_t idx : by_level_[level]) {
@@ -251,26 +261,24 @@ void SliceHierarchy::Build(
         }
       }
     }
-    EvaluatePending();
 
-    // (b) + (c) Prune level: canonicality, then profit lower bounds.
+    // (b) + (c) Prune level: canonicality, then evaluation and profit
+    // lower bounds for the survivors.
     if (level < by_level_.size()) {
       const std::vector<uint32_t>& level_nodes = by_level_[level];
 
       // Canonicality flags (Prop. 12) read only deeper-level state, which
       // is final — safe to compute for the whole level at once.
-      ForChunks(level_nodes.size(), [&](size_t, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          SliceNode& node = nodes_[level_nodes[i]];
-          size_t canonical_children = 0;
-          for (uint32_t c : node.children) {
-            if (!nodes_[c].removed && nodes_[c].is_canonical) {
-              ++canonical_children;
-            }
+      for (uint32_t idx : level_nodes) {
+        SliceNode& node = nodes_[idx];
+        size_t canonical_children = 0;
+        for (uint32_t c : node.children) {
+          if (!nodes_[c].removed && nodes_[c].is_canonical) {
+            ++canonical_children;
           }
-          node.is_canonical = node.is_initial || canonical_children >= 2;
         }
-      });
+        node.is_canonical = node.is_initial || canonical_children >= 2;
+      }
 
       // Structural removals stay serial in level order: re-linking edits
       // edge lists on the adjacent levels.
@@ -284,17 +292,11 @@ void SliceHierarchy::Build(
         }
       }
 
-      // Lower bounds for the survivors: disjoint node writes, per-worker
-      // scratch, bit-identical to the serial order.
-      ForChunks(lb_batch.size(), [&](size_t chunk, size_t begin, size_t end) {
-        if (!lb_scratch[chunk]) {
-          lb_scratch[chunk] = std::make_unique<LbScratch>(profit_);
-        }
-        for (size_t i = begin; i < end; ++i) {
-          ComputeLowerBound(lb_batch[i], lb_scratch[chunk].get());
-        }
-      });
+      // Only survivors are evaluated; a lower bound reads the node's own
+      // profit and its (deeper, already evaluated) children's S_LB sets.
+      EvaluateNodes(lb_batch);
       for (uint32_t idx : lb_batch) {
+        ComputeLowerBound(idx, &lb_scratch);
         if (!nodes_[idx].valid) ++stats_.low_profit_pruned;
       }
     }
@@ -302,12 +304,14 @@ void SliceHierarchy::Build(
     // Flush this level's construction tallies to the shared registry
     // (nodes at the level are final once its parents exist).
     if (level < by_level_.size()) {
-      MIDAS_OBS_ADD(MIDAS_OBS_COUNTER(LevelMetricName(level, "nodes")),
-                    by_level_[level].size());
+      MIDAS_OBS_ADD(
+          HierarchyLevelCounter(level, HierarchyLevelMetric::kNodes),
+          by_level_[level].size());
     }
-    MIDAS_OBS_ADD(MIDAS_OBS_COUNTER(LevelMetricName(level, "dedup_hits")),
-                  dedup_hits_ - level_dedup_before);
-    MIDAS_OBS_ADD(MIDAS_OBS_COUNTER(LevelMetricName(level, "eval_us")),
+    MIDAS_OBS_ADD(
+        HierarchyLevelCounter(level, HierarchyLevelMetric::kDedupHits),
+        dedup_hits_ - level_dedup_before);
+    MIDAS_OBS_ADD(HierarchyLevelCounter(level, HierarchyLevelMetric::kEvalUs),
                   (MIDAS_OBS_NOW_NS() - level_start_ns) / 1000);
   }
 
@@ -391,10 +395,9 @@ uint32_t SliceHierarchy::GetOrCreateNode(
   MIDAS_FAULT_MAYBE_BAD_ALLOC(fault::kSiteAlloc,
                               std::to_string(nodes_.size()));
 
-  // Shell only: entity match and profit are deferred to EvaluatePending,
-  // where the whole batch runs word-wise (and in parallel when large).
-  // The property set is copied only here — dedup hits (the common case)
-  // never allocate.
+  // Shell only: entity match and profit are deferred to EvaluateNodes,
+  // which runs only if Prop. 12 keeps the node. The property set is copied
+  // only here — dedup hits (the common case) never allocate.
   SliceNode node;
   node.level = static_cast<uint32_t>(properties.size());
   node.properties.assign(properties.begin(), properties.end());
@@ -406,14 +409,19 @@ uint32_t SliceHierarchy::GetOrCreateNode(
   ++stats_.nodes_generated;
   set_index_.Insert(hash, idx);
   nodes_.push_back(std::move(node));
-  pending_eval_.push_back(idx);
   return idx;
+}
+
+void SliceHierarchy::EvaluateNodes(const std::vector<uint32_t>& batch) {
+  MIDAS_OBS_ADD(MIDAS_OBS_COUNTER("hierarchy.profit_evals"), batch.size());
+  for (uint32_t index : batch) EvaluateNode(index);
 }
 
 void SliceHierarchy::EvaluateNode(uint32_t index) {
   SliceNode& node = nodes_[index];
   uint64_t facts = 0, fresh = 0;
   if (table_.dense()) {
+    node.bits.ResetIn(table_.num_entities(), &arena_);
     // Fused intersect + totals: one write pass over the node's word block.
     constexpr size_t kMaxFused = 32;
     const size_t k = node.properties.size();
@@ -435,51 +443,6 @@ void SliceHierarchy::EvaluateNode(uint32_t index) {
   node.total_facts = facts;
   node.total_new = fresh;
   node.profit = profit_.SliceProfitFromTotals(facts, fresh);
-}
-
-void SliceHierarchy::EvaluatePending() {
-  if (pending_eval_.empty()) return;
-  MIDAS_OBS_ADD(MIDAS_OBS_COUNTER("hierarchy.profit_evals"),
-                pending_eval_.size());
-  if (table_.dense()) {
-    // Pre-size every pending node's word block from the arena before the
-    // evaluation fan-out: the bump allocator is not thread-safe, and
-    // pre-sized blocks let EvaluateNode's kernels write in place without
-    // allocating inside worker chunks.
-    for (uint32_t idx : pending_eval_) {
-      nodes_[idx].bits.ResetIn(table_.num_entities(), &arena_);
-    }
-  }
-  ForChunks(pending_eval_.size(), [&](size_t, size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) EvaluateNode(pending_eval_[i]);
-  });
-  pending_eval_.clear();
-}
-
-void SliceHierarchy::ForChunks(
-    size_t n, const std::function<void(size_t, size_t, size_t)>& fn) {
-  if (n == 0) return;
-  ThreadPool* p = n >= options_.parallel_min_batch ? pool() : nullptr;
-  if (p == nullptr) {
-    fn(0, 0, n);
-    return;
-  }
-  const size_t chunks = std::min(resolved_threads_, n);
-  const size_t base = n / chunks;
-  const size_t rem = n % chunks;
-  size_t begin = 0;
-  for (size_t c = 0; c < chunks; ++c) {
-    const size_t end = begin + base + (c < rem ? 1 : 0);
-    p->Submit([&fn, c, begin, end] { fn(c, begin, end); });
-    begin = end;
-  }
-  p->Wait();
-}
-
-ThreadPool* SliceHierarchy::pool() {
-  if (resolved_threads_ <= 1) return nullptr;
-  if (!pool_) pool_ = std::make_unique<ThreadPool>(resolved_threads_);
-  return pool_.get();
 }
 
 void SliceHierarchy::LinkEdge(uint32_t parent, uint32_t child) {

@@ -2,7 +2,6 @@
 #define MIDAS_CORE_SLICE_HIERARCHY_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "midas/core/entity_bitset.h"
@@ -12,7 +11,7 @@
 #include "midas/core/types.h"
 #include "midas/core/word_arena.h"
 #include "midas/fault/cancel.h"
-#include "midas/util/thread_pool.h"
+#include "midas/obs/metrics.h"
 
 namespace midas {
 namespace core {
@@ -34,21 +33,10 @@ struct HierarchyOptions {
   /// Hard cap on total hierarchy nodes for one source.
   size_t max_nodes = 2'000'000;
 
-  /// Worker threads for per-level node evaluation (entity matching +
-  /// profit) during construction. 0 = hardware concurrency. Results are
-  /// bit-identical for every thread count: tasks write disjoint node state
-  /// and all profit totals are integral sums.
-  size_t num_threads = 0;
-
-  /// Minimum node batch before evaluation fans out to the thread pool;
-  /// below it the per-level batch runs inline (framework shards are mostly
-  /// tiny, and pool startup would dominate).
-  size_t parallel_min_batch = 2048;
-
   /// Optional cooperative deadline/cancel budget. Checked at level
-  /// boundaries only (between the fully-evaluated per-level batches), so an
-  /// expiring budget never leaves half-evaluated nodes: construction stops
-  /// after the current level and HierarchyStats.partial is set. Null =
+  /// boundaries only, so an expiring budget never leaves a half-pruned
+  /// level: construction stops after the current level, evaluates every
+  /// live node not evaluated yet, and sets HierarchyStats.partial. Null =
   /// unbounded. Must outlive construction.
   const fault::CancelToken* cancel = nullptr;
 };
@@ -78,8 +66,10 @@ struct SliceNode {
     return bits.universe() > 0 ? bits.ToVector() : entities;
   }
 
-  /// |Π*| and |Π* \ E| — cached once at mint time; every later profit
-  /// query on this node is O(1) from these.
+  /// |Π*| and |Π* \ E| — cached once when the node is evaluated (after
+  /// Prop. 12 keeps it; removed nodes are never evaluated and keep Π
+  /// empty and every total 0). Every later profit query on this node is
+  /// O(1) from these.
   uint64_t total_facts = 0;
   uint64_t total_new = 0;
 
@@ -141,6 +131,17 @@ struct HierarchyStats {
   bool partial = false;
 };
 
+/// Per-level construction counters, "hierarchy.level.<level>.<metric>",
+/// which SliceHierarchy flushes after each level: nodes at the level, dedup
+/// hits while generating its parents, and the level's wall time in µs.
+/// Levels above 16 share one "16plus" bucket so a deep hierarchy cannot
+/// explode metric cardinality.
+enum class HierarchyLevelMetric { kNodes, kDedupHits, kEvalUs };
+
+/// The registry counter for (level >= 1, metric). Registered on first use
+/// and cached, so every later call is a load — no lock, no string build.
+obs::Counter* HierarchyLevelCounter(size_t level, HierarchyLevelMetric what);
+
 /// The bottom-up constructed, pruned slice hierarchy of one web source
 /// (paper §III-A1). Construction:
 ///
@@ -153,15 +154,15 @@ struct HierarchyStats {
 ///        b. determine canonicality of level-l nodes (Prop. 12) and
 ///           structurally remove non-canonical ones, re-linking their
 ///           children to their parents unless already reachable;
-///        c. compute f_LB / S_LB for surviving level-l nodes and mark
-///           low-profit nodes invalid.
+///        c. evaluate the surviving level-l nodes (full entity match Π,
+///           cached totals, profit), then compute their f_LB / S_LB and
+///           mark low-profit nodes invalid.
 ///
-/// Node evaluation (full entity match + profit) is deferred out of the
-/// dedup walk and executed per level as an index-ordered batch — in
-/// parallel on the thread pool when the batch is large enough. Lower-bound
-/// computation likewise runs per level over disjoint nodes with per-worker
-/// scratch accumulators. Both phases write disjoint node state, so results
-/// are bit-identical to the serial order for every thread count.
+/// Evaluation waits until Prop. 12 has kept a node: nothing between minting
+/// and removal reads Π or profit (canonicality and re-linking read flags
+/// and property sets only), so the non-canonical majority of minted nodes
+/// is never matched or priced. Construction is serial; the framework runs
+/// sources in parallel around it.
 class SliceHierarchy {
  public:
   /// Builds the hierarchy with per-entity initial slices.
@@ -189,7 +190,7 @@ class SliceHierarchy {
   const ProfitContext& profit_context() const { return profit_; }
 
  private:
-  /// Per-worker scratch for lower-bound computation: a reusable set-profit
+  /// Scratch for lower-bound computation: a reusable set-profit
   /// accumulator plus epoch-marked node dedup — no allocation per node in
   /// steady state.
   struct LbScratch;
@@ -198,7 +199,7 @@ class SliceHierarchy {
 
   /// Returns the node index for a sorted property set, creating an
   /// unevaluated node shell (entity match and profit deferred to
-  /// EvaluatePending) if new; the set is copied only on creation. Returns
+  /// EvaluateNodes) if new; the set is copied only on creation. Returns
   /// kInvalidIndex if the node cap is hit. The second form takes the
   /// precomputed commutative set hash (parent generation derives it in
   /// O(1) from the child's).
@@ -206,20 +207,10 @@ class SliceHierarchy {
   uint32_t GetOrCreateNode(const std::vector<PropertyId>& properties,
                            uint64_t hash);
 
-  /// Evaluates all node shells created since the last call: full entity
-  /// match (word-wise AND when dense), bitset, cached totals, profit.
-  /// Fans out to the pool for large batches.
-  void EvaluatePending();
-
+  /// Evaluates each node of `batch`: full entity match (word-wise AND when
+  /// dense, into an arena block), cached totals, profit.
+  void EvaluateNodes(const std::vector<uint32_t>& batch);
   void EvaluateNode(uint32_t index);
-
-  /// Runs fn(chunk_index, begin, end) over [0, n) split into contiguous
-  /// chunks, one per worker (inline when the pool is not engaged).
-  void ForChunks(size_t n,
-                 const std::function<void(size_t, size_t, size_t)>& fn);
-
-  /// Lazily created pool, engaged once a batch reaches parallel_min_batch.
-  ThreadPool* pool();
 
   /// Links parent -> child if absent.
   void LinkEdge(uint32_t parent, uint32_t child);
@@ -261,14 +252,10 @@ class SliceHierarchy {
   std::vector<SliceNode> nodes_;
   std::vector<std::vector<uint32_t>> by_level_;
   SetIndex set_index_;
-  // Node shells awaiting evaluation (index order preserved).
-  std::vector<uint32_t> pending_eval_;
-  /// Backing store for dense nodes' entity word blocks: one bump allocation
-  /// per level batch instead of one heap vector per node. Must outlive
-  /// nodes_ (never freed before the hierarchy itself).
+  /// Backing store for dense nodes' entity word blocks: bump allocations
+  /// instead of one heap vector per node. Must outlive nodes_ (never freed
+  /// before the hierarchy itself).
   WordArena arena_;
-  std::unique_ptr<ThreadPool> pool_;
-  size_t resolved_threads_ = 1;
   HierarchyStats stats_;
   /// Dedup hits in GetOrCreateNode (serial walk, plain counter); flushed
   /// per level and in aggregate to the shared obs registry by Build.

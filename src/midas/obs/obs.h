@@ -7,8 +7,10 @@
 /// Two switches control overhead:
 ///
 ///   - Runtime: recording is always lock-free relaxed atomics (see
-///     metrics.h); registration happens once per site via function-local
-///     statics or constructor-resolved pointers.
+///     metrics.h); registration happens once per call site: each
+///     MIDAS_OBS_COUNTER/_GAUGE/_HISTOGRAM/_SPAN expansion caches its
+///     metric pointer in a function-local static, so only the first pass
+///     through a site takes the registry lock.
 ///   - Compile time: building with -DMIDAS_OBS_NOOP (CMake option
 ///     MIDAS_OBS_NOOP) expands every macro below to nothing — zero
 ///     instructions, zero words allocated, no obs symbols referenced from
@@ -19,11 +21,13 @@
 /// observe empty metrics), so class layouts never vary with the switch and
 /// mixed-TU builds stay ODR-clean. Only the macros change meaning.
 ///
+/// Metric and span names must be string literals (a run-time name does not
+/// compile); a site that needs a computed name resolves it through
+/// Registry::Global() once and caches the pointer itself.
+///
 /// Usage:
-///   // Once per object (constructor) or site (function-local static):
-///   obs::Counter* calls_ = MIDAS_OBS_COUNTER("profit.set_profit_calls");
-///   // Hot path:
-///   MIDAS_OBS_ADD(calls_, 1);
+///   // Hot path (the lookup runs on the first pass only):
+///   MIDAS_OBS_ADD(MIDAS_OBS_COUNTER("profit.set_profit_calls"), 1);
 ///   // Scoped timing + span:
 ///   MIDAS_OBS_SPAN(span, "framework.source", shard.url);
 
@@ -33,12 +37,20 @@
 
 #ifndef MIDAS_OBS_NOOP
 
-/// Registration (allocates on first use; never call on a hot path).
+/// Registration: resolves `name` (a string literal — the "" prefix
+/// rejects anything else) on the first pass through the call site and
+/// yields the cached pointer afterwards, with no lock and no allocation.
+#define MIDAS_OBS_INTERNAL_RESOLVE(type, getter, name)                   \
+  ([]() -> ::midas::obs::type* {                                         \
+    static ::midas::obs::type* const metric =                            \
+        ::midas::obs::Registry::Global().getter("" name);                \
+    return metric;                                                       \
+  }())
 #define MIDAS_OBS_COUNTER(name) \
-  (::midas::obs::Registry::Global().GetCounter(name))
-#define MIDAS_OBS_GAUGE(name) (::midas::obs::Registry::Global().GetGauge(name))
+  MIDAS_OBS_INTERNAL_RESOLVE(Counter, GetCounter, name)
+#define MIDAS_OBS_GAUGE(name) MIDAS_OBS_INTERNAL_RESOLVE(Gauge, GetGauge, name)
 #define MIDAS_OBS_HISTOGRAM(name) \
-  (::midas::obs::Registry::Global().GetHistogram(name))
+  MIDAS_OBS_INTERNAL_RESOLVE(Histogram, GetHistogram, name)
 
 /// Recording (lock-free, allocation-free; pointers may be null in noop
 /// translation units, so every macro is null-safe).
@@ -68,8 +80,11 @@
 
 /// Scoped tracing span: closes exactly once when `var` leaves scope,
 /// including via exception unwinding. `...` is an optional detail string.
-#define MIDAS_OBS_SPAN(var, name, ...) \
-  ::midas::obs::ScopedSpan var((name)__VA_OPT__(, ) __VA_ARGS__)
+/// The site's "span.<name>" latency histogram is resolved once, like the
+/// registration macros above.
+#define MIDAS_OBS_SPAN(var, name, ...)                                 \
+  ::midas::obs::ScopedSpan var(MIDAS_OBS_HISTOGRAM("span." name), name \
+                               __VA_OPT__(, ) __VA_ARGS__)
 
 #else  // MIDAS_OBS_NOOP
 

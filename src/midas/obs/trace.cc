@@ -19,11 +19,12 @@ Tracer& Tracer::Global() {
 void Tracer::Record(SpanRecord span) {
   std::lock_guard<std::mutex> lock(mu_);
   if (spans_.size() >= capacity_) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
+    Drop();
     return;
   }
   if (spans_.capacity() == 0) spans_.reserve(capacity_);
   spans_.push_back(std::move(span));
+  if (spans_.size() >= capacity_) full_.store(true, std::memory_order_relaxed);
 }
 
 std::vector<SpanRecord> Tracer::Snapshot() const {
@@ -39,16 +40,20 @@ size_t Tracer::size() const {
 void Tracer::SetCapacity(size_t capacity) {
   std::lock_guard<std::mutex> lock(mu_);
   capacity_ = capacity;
+  full_.store(spans_.size() >= capacity_, std::memory_order_relaxed);
 }
 
 void Tracer::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   spans_.clear();
+  full_.store(capacity_ == 0, std::memory_order_relaxed);
   dropped_.store(0, std::memory_order_relaxed);
 }
 
-ScopedSpan::ScopedSpan(const char* name, std::string detail)
-    : name_(name),
+ScopedSpan::ScopedSpan(Histogram* latency, const char* name,
+                       std::string detail)
+    : latency_(latency),
+      name_(name),
       detail_(std::move(detail)),
       start_ns_(NowNanos()),
       depth_(tls_span_depth++) {
@@ -61,23 +66,24 @@ ScopedSpan::~ScopedSpan() {
   Tracer& tracer = Tracer::Global();
   tracer.open_.fetch_sub(1, std::memory_order_relaxed);
 
-  SpanRecord span;
-  span.name = name_;
-  span.detail = std::move(detail_);
-  span.start_ns = start_ns_;
-  span.duration_ns = duration;
-  span.depth = depth_;
-  span.thread = static_cast<uint32_t>(internal::ShardIndex());
-  tracer.Record(std::move(span));
+  // A full ring would drop the record: skip the lock and building the
+  // record (the name copy allocates past the small-string limit).
+  if (tracer.full_.load(std::memory_order_relaxed)) {
+    tracer.Drop();
+  } else {
+    SpanRecord span;
+    span.name = name_;
+    span.detail = std::move(detail_);
+    span.start_ns = start_ns_;
+    span.duration_ns = duration;
+    span.depth = depth_;
+    span.thread = static_cast<uint32_t>(internal::ShardIndex());
+    tracer.Record(std::move(span));
+  }
 
   // Aggregate per-category latency, usable even when the span buffer
-  // saturates. Registration interns "span.<name>" once per category.
-  static constexpr const char* kPrefix = "span.";
-  std::string hist_name;
-  hist_name.reserve(sizeof("span.") + std::char_traits<char>::length(name_));
-  hist_name += kPrefix;
-  hist_name += name_;
-  Registry::Global().GetHistogram(hist_name)->Record(duration / 1000);
+  // saturates.
+  if (latency_ != nullptr) latency_->Record(duration / 1000);
 }
 
 }  // namespace obs

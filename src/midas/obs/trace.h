@@ -27,10 +27,11 @@ struct SpanRecord {
 };
 
 /// Bounded process-wide span sink. Spans are appended on close (under a
-/// mutex — spans are per-source / per-round, never per-node, so the lock is
-/// off every hot path); once `capacity` spans are buffered further spans
-/// are counted as dropped instead of growing the buffer, so tracing can
-/// stay always-on in production runs.
+/// mutex — spans are per-source / per-round, never per-node); once
+/// `capacity` spans are buffered further spans are counted as dropped
+/// instead of growing the buffer, so tracing can stay always-on in
+/// production runs. A closing span finds a full ring without taking the
+/// lock.
 class Tracer {
  public:
   static constexpr size_t kDefaultCapacity = 8192;
@@ -62,26 +63,36 @@ class Tracer {
  private:
   friend class ScopedSpan;
 
+  /// Counts one span the full ring could not take.
+  void Drop() { dropped_.fetch_add(1, std::memory_order_relaxed); }
+
   mutable std::mutex mu_;
   std::vector<SpanRecord> spans_;
   size_t capacity_ = kDefaultCapacity;
+  /// spans_.size() >= capacity_, readable without mu_ (written under it).
+  std::atomic<bool> full_{false};
   std::atomic<uint64_t> dropped_{0};
   std::atomic<int64_t> open_{0};
 };
 
 /// RAII span: opens at construction, records at destruction — exactly once,
 /// on every exit path including exception unwinding. Also feeds the span's
-/// duration into the histogram "span.<name>" (microseconds), so aggregate
-/// per-category latency is available without walking the span buffer.
+/// duration (microseconds) into a latency histogram — "span.<name>" under
+/// MIDAS_OBS_SPAN — so aggregate per-category latency is available without
+/// walking the span buffer. `name` must outlive the span (a literal, in
+/// practice).
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char* name, std::string detail = {});
+  /// Records the duration into `latency` (null = none). MIDAS_OBS_SPAN
+  /// passes the call site's cached "span.<name>" histogram.
+  ScopedSpan(Histogram* latency, const char* name, std::string detail = {});
   ~ScopedSpan();
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
  private:
+  Histogram* latency_;
   const char* name_;
   std::string detail_;
   uint64_t start_ns_;

@@ -198,18 +198,10 @@ TEST_P(BitsetDifferentialTest, DenseAgreesWithSparseEverywhere) {
               sparse_profit.SetProfit(list_ptrs));
 
     // Full-pipeline equality on a sample of tables: hierarchy construction
-    // (serial, parallel, sparse) and end-to-end detection.
+    // (dense vs sparse) and end-to-end detection.
     if (round % 10 == 0) {
-      HierarchyOptions serial;
-      serial.num_threads = 1;
-      HierarchyOptions parallel;
-      parallel.num_threads = 3;
-      parallel.parallel_min_batch = 1;  // force the pool even on tiny levels
-
-      SliceHierarchy h_dense(dense, dense_profit, serial);
-      SliceHierarchy h_parallel(dense, dense_profit, parallel);
-      SliceHierarchy h_sparse(sparse, sparse_profit, serial);
-      ExpectNodesIdentical(h_dense, h_parallel);
+      SliceHierarchy h_dense(dense, dense_profit, HierarchyOptions());
+      SliceHierarchy h_sparse(sparse, sparse_profit, HierarchyOptions());
       ExpectNodesIdentical(h_dense, h_sparse);
 
       SourceInput input;
@@ -217,10 +209,8 @@ TEST_P(BitsetDifferentialTest, DenseAgreesWithSparseEverywhere) {
       input.facts = &src.facts;
       MidasOptions dense_alg_opts;
       dense_alg_opts.fact_table = dense_opts;
-      dense_alg_opts.hierarchy = parallel;
       MidasOptions sparse_alg_opts;
       sparse_alg_opts.fact_table = sparse_opts;
-      sparse_alg_opts.hierarchy = serial;
       auto slices_dense = MidasAlg(dense_alg_opts).Detect(input, *src.kb);
       auto slices_sparse = MidasAlg(sparse_alg_opts).Detect(input, *src.kb);
       ExpectSlicesIdentical(slices_dense, slices_sparse);

@@ -23,6 +23,16 @@ struct CorpusShape {
   uint64_t seed;
 };
 
+// Namespace-scope storage zero-fills the padding after `open_ie`. gtest
+// prints the parameter's raw bytes into each ctest name, so shapes built
+// as temporaries would carry stack garbage into the names.
+const CorpusShape kCorpusShapes[] = {
+    {false, 20, 201},
+    {false, 40, 202},
+    {true, 20, 203},
+    {true, 40, 204},
+};
+
 class FrameworkPropertiesTest
     : public ::testing::TestWithParam<CorpusShape> {
  protected:
@@ -138,10 +148,7 @@ TEST_P(FrameworkPropertiesTest, NoDuplicateSlices) {
 
 INSTANTIATE_TEST_SUITE_P(
     Corpora, FrameworkPropertiesTest,
-    ::testing::Values(CorpusShape{false, 20, 201},
-                      CorpusShape{false, 40, 202},
-                      CorpusShape{true, 20, 203},
-                      CorpusShape{true, 40, 204}),
+    ::testing::ValuesIn(kCorpusShapes),
     [](const ::testing::TestParamInfo<CorpusShape>& info) {
       return std::string(info.param.open_ie ? "open" : "closed") + "_n" +
              std::to_string(info.param.num_sources) + "_s" +

@@ -1,7 +1,7 @@
 // Verifies that SliceHierarchy construction reports its counters to the
 // shared obs registry and that they agree with the HierarchyStats the
 // builder returns: aggregate totals, the per-level node counters, and the
-// profit-evaluation count.
+// profit-evaluation count (Prop. 12 survivors only).
 
 #include "midas/core/slice_hierarchy.h"
 
@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/corpus_fixture.h"
@@ -50,9 +51,7 @@ class HierarchyObsTest : public ::testing::Test {
 
 TEST_F(HierarchyObsTest, CountersMatchHierarchyStats) {
   BuildFixture();
-  HierarchyOptions options;
-  options.num_threads = 1;
-  SliceHierarchy hierarchy(*table_, *profit_, options);
+  SliceHierarchy hierarchy(*table_, *profit_, HierarchyOptions());
   const HierarchyStats& stats = hierarchy.stats();
 
   EXPECT_EQ(CounterValue("hierarchy.builds"), 1u);
@@ -64,8 +63,10 @@ TEST_F(HierarchyObsTest, CountersMatchHierarchyStats) {
   EXPECT_EQ(CounterValue("hierarchy.low_profit_pruned"),
             stats.low_profit_pruned);
   EXPECT_EQ(CounterValue("hierarchy.seeds_dropped"), stats.seeds_dropped);
-  // Every minted node shell is profit-evaluated exactly once.
-  EXPECT_EQ(CounterValue("hierarchy.profit_evals"), stats.nodes_generated);
+  // Only Prop. 12 survivors are profit-evaluated, each exactly once.
+  ASSERT_GT(stats.noncanonical_removed, 0u);
+  EXPECT_EQ(CounterValue("hierarchy.profit_evals"),
+            stats.nodes_generated - stats.noncanonical_removed);
   // The build-duration histogram saw this construction.
   const obs::Histogram* build_us =
       obs::Registry::Global().FindHistogram("hierarchy.build_us");
@@ -75,9 +76,7 @@ TEST_F(HierarchyObsTest, CountersMatchHierarchyStats) {
 
 TEST_F(HierarchyObsTest, PerLevelNodeCountersMatchLevels) {
   BuildFixture();
-  HierarchyOptions options;
-  options.num_threads = 1;
-  SliceHierarchy hierarchy(*table_, *profit_, options);
+  SliceHierarchy hierarchy(*table_, *profit_, HierarchyOptions());
   const HierarchyStats& stats = hierarchy.stats();
   ASSERT_GE(stats.max_level, 2u);
 
@@ -96,12 +95,41 @@ TEST_F(HierarchyObsTest, PerLevelNodeCountersMatchLevels) {
 
 TEST_F(HierarchyObsTest, DedupHitsCountRepeatedPropertySets) {
   BuildFixture();
-  HierarchyOptions options;
-  options.num_threads = 1;
-  SliceHierarchy hierarchy(*table_, *profit_, options);
+  SliceHierarchy hierarchy(*table_, *profit_, HierarchyOptions());
   // Distinct entities share property sets and parent generation re-derives
   // shared ancestors, so a non-trivial source always dedups.
   EXPECT_GT(CounterValue("hierarchy.dedup_hits"), 0u);
+}
+
+TEST_F(HierarchyObsTest, ConcurrentBuildsFlushEveryLevel) {
+  // Builds on several threads race to register the per-level counters on
+  // first use; every flush must still land on the one registry entry. Each
+  // thread builds its own copy of the seeded fixture, as framework shards
+  // each own their table and profit context.
+  constexpr size_t kThreads = 4;
+  std::vector<std::unique_ptr<tests::RandomTableFixture>> fixtures(kThreads);
+  std::vector<std::unique_ptr<SliceHierarchy>> built(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&fixtures, &built, t] {
+      fixtures[t] = std::make_unique<tests::RandomTableFixture>();
+      built[t] = std::make_unique<SliceHierarchy>(
+          *fixtures[t]->table, *fixtures[t]->profit, HierarchyOptions());
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  const SliceHierarchy& hierarchy = *built[0];
+  const HierarchyStats& stats = hierarchy.stats();
+  EXPECT_EQ(CounterValue("hierarchy.builds"), kThreads);
+  EXPECT_EQ(CounterValue("hierarchy.profit_evals"),
+            kThreads * (stats.nodes_generated - stats.noncanonical_removed));
+  for (size_t level = 1; level <= stats.max_level; ++level) {
+    EXPECT_EQ(CounterValue("hierarchy.level." + std::to_string(level) +
+                           ".nodes"),
+              kThreads * hierarchy.nodes_at_level(level).size())
+        << "level " << level;
+  }
 }
 
 }  // namespace

@@ -10,7 +10,8 @@
 //   Def. 9    — reported profits equal the profit function recomputed from
 //               scratch;
 //   §III-A    — hierarchy structure: children have strict property
-//               supersets and entity subsets; f_LB >= max(0, f(S));
+//               supersets and entity subsets; f_LB >= max(0, f(S)); only
+//               Prop. 12 survivors are evaluated, also on a deadline stop;
 //   Alg. 1    — the selected set never includes two slices where one
 //               covers the other, and its set profit is positive.
 
@@ -47,6 +48,21 @@ class InvariantsTest : public ::testing::TestWithParam<WorkloadShape> {
     table_ = std::make_unique<FactTable>(data_->facts);
     profit_ = std::make_unique<ProfitContext>(*table_, *data_->kb,
                                               CostModel::Default());
+  }
+
+  /// Def. 5 and Def. 9 on one live node: Π is exactly the match set of C
+  /// (in either representation), the cached totals are Π's facts, and the
+  /// profit is the profit function of Π. Returns Π.
+  std::vector<EntityId> ExpectEvaluatedPerDefinition(const SliceNode& node) {
+    const std::vector<EntityId> entities = node.EntityVector();
+    EXPECT_EQ(entities, table_->MatchEntities(node.properties.data(),
+                                              node.properties.size()));
+    uint64_t facts = 0, fresh = 0;
+    profit_->EntityTotals(entities, &facts, &fresh);
+    EXPECT_EQ(node.total_facts, facts);
+    EXPECT_EQ(node.total_new, fresh);
+    EXPECT_NEAR(node.profit, profit_->SliceProfit(entities), 1e-9);
+    return entities;
   }
 
   std::unique_ptr<synth::SingleSourceData> data_;
@@ -94,15 +110,16 @@ TEST_P(InvariantsTest, HierarchyStructuralInvariants) {
     EXPECT_TRUE(
         std::is_sorted(node.properties.begin(), node.properties.end()));
 
-    // Π is exactly the match set (Def. 5), in either representation.
-    const std::vector<EntityId> entities = node.EntityVector();
-    EXPECT_EQ(entities, table_->MatchEntities(node.properties.data(),
-                                              node.properties.size()));
+    // Prop. 12 removed the node before it was ever evaluated.
+    if (node.removed) {
+      EXPECT_TRUE(node.EntityVector().empty());
+      EXPECT_EQ(node.total_facts, 0u);
+      EXPECT_EQ(node.profit, 0.0);
+      continue;
+    }
 
-    // Profit is the profit function of Π (Def. 9).
-    EXPECT_NEAR(node.profit, profit_->SliceProfit(entities), 1e-9);
-
-    if (node.removed) continue;
+    // Live nodes carry Π (Def. 5) and profit (Def. 9).
+    const std::vector<EntityId> entities = ExpectEvaluatedPerDefinition(node);
 
     // f_LB >= max(0, f(S)); S_LB achieves it.
     EXPECT_GE(node.lb_profit, 0.0);
@@ -149,6 +166,45 @@ TEST_P(InvariantsTest, HierarchyStructuralInvariants) {
     }
     EXPECT_EQ(node.is_canonical,
               node.is_initial || canonical_children >= 2);
+  }
+}
+
+// A deadline stop (HierarchyStats.partial) leaves an unpruned lattice that
+// the traversal still runs on (docs/ROBUSTNESS.md best-so-far contract), so
+// every live node of a partial build must be evaluated per Def. 5/Def. 9.
+TEST_P(InvariantsTest, PartialHierarchyIsEvaluatedAndTraversable) {
+  const uint64_t start_ns = obs::NowNanos();
+  { SliceHierarchy full(*table_, *profit_, HierarchyOptions()); }
+  const uint64_t full_ns = obs::NowNanos() - start_ns;
+
+  // Step 0 is already cancelled: the build stops at its first level
+  // boundary. Later steps set deadlines inside a full build's span, so they
+  // stop at deeper boundaries (or not at all); where each lands varies with
+  // machine speed, and every stop point must hold the contract.
+  for (uint64_t step = 0; step < 5; ++step) {
+    fault::CancelToken cancel;
+    if (step == 0) {
+      cancel.Cancel();
+    } else {
+      cancel.SetDeadlineNs(obs::NowNanos() + full_ns * step / 5);
+    }
+    HierarchyOptions options;
+    options.cancel = &cancel;
+    SliceHierarchy hierarchy(*table_, *profit_, options);
+    if (step == 0) {
+      ASSERT_TRUE(hierarchy.stats().partial);
+      EXPECT_EQ(hierarchy.stats().noncanonical_removed, 0u);
+    }
+    for (const SliceNode& node : hierarchy.nodes()) {
+      if (!node.removed) ExpectEvaluatedPerDefinition(node);
+    }
+
+    for (uint32_t index : MidasAlg::Traverse(&hierarchy)) {
+      const SliceNode& node = hierarchy.nodes()[index];
+      EXPECT_FALSE(node.removed);
+      EXPECT_TRUE(node.valid);
+      EXPECT_FALSE(node.EntityVector().empty());
+    }
   }
 }
 

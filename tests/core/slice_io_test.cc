@@ -6,6 +6,7 @@
 #include <fstream>
 #include <memory>
 
+#include "common/test_dir.h"
 #include "midas/core/midas.h"
 
 namespace midas {
@@ -15,7 +16,7 @@ namespace {
 class SliceIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/midas_slice_io_test.tsv";
+    path_ = tests::TestDir() + "/slices.tsv";
     dict_ = std::make_shared<rdf::Dictionary>();
   }
   void TearDown() override { std::remove(path_.c_str()); }

@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/test_dir.h"
 #include "dist/dist_test_util.h"
 #include "midas/core/framework.h"
 #include "midas/core/midas_alg.h"
@@ -188,9 +189,7 @@ DistRun RunDistOnBundle(Bundle* b, size_t num_workers, bool by_ref,
 class ByRefDistTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    col_path_ = ::testing::TempDir() + "/midas_byref_" +
-                ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-                ".midascol";
+    col_path_ = midas::tests::TestDir() + "/dump.midascol";
     std::remove(col_path_.c_str());
     ASSERT_TRUE(extract::SaveColumnarDump(col_path_, MakeWideDump()).ok());
   }

@@ -8,7 +8,6 @@
 // without re-detecting.
 
 #include <signal.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -16,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/test_dir.h"
 #include "dist/dist_test_util.h"
 #include "midas/core/framework.h"
 #include "midas/dist/coordinator.h"
@@ -159,10 +159,7 @@ TEST_F(CrashMatrixTest, PersistentCrashesExhaustAssignmentsAsFailures) {
 // point, but with the ledger flushed) and running a fresh coordinator over
 // the same checkpoint dir.
 TEST_F(CrashMatrixTest, RestartedCoordinatorResumesFromLedger) {
-  const std::string dir =
-      ::testing::TempDir() + "/midas_dist_resume_" +
-      std::to_string(::getpid());
-  ::mkdir(dir.c_str(), 0755);
+  const std::string dir = midas::tests::TestDir();
   const std::string ckpt = dir + "/" + store::kCheckpointFileName;
   std::remove(ckpt.c_str());
 

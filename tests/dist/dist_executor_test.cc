@@ -18,6 +18,7 @@
 #include <string>
 #include <thread>
 
+#include "common/test_dir.h"
 #include "dist/dist_test_util.h"
 #include "midas/core/framework.h"
 #include "midas/dist/channel.h"
@@ -175,7 +176,7 @@ TEST_F(DistExecutorTest, StartValidatesOptions) {
 TEST_F(DistExecutorTest, ExternalStartTimesOutWithoutWorkers) {
   rdf::Dictionary dict;
   DistOptions dopts;
-  dopts.listen_path = ::testing::TempDir() + "/midas_dist_timeout.sock";
+  dopts.listen_path = midas::tests::TestDir() + "/timeout.sock";
   dopts.min_workers = 1;
   dopts.accept_timeout_ms = 100;
   DistCoordinator coordinator(&dict, dopts);
@@ -189,7 +190,7 @@ TEST_F(DistExecutorTest, ExternalStartTimesOutWithoutWorkers) {
 // correct worker connecting afterwards satisfies min_workers.
 TEST_F(DistExecutorTest, FingerprintMismatchRejectsWorker) {
   const std::string sock_path =
-      ::testing::TempDir() + "/midas_dist_reject.sock";
+      midas::tests::TestDir() + "/reject.sock";
   rdf::Dictionary dict;
   DistOptions dopts;
   dopts.listen_path = sock_path;

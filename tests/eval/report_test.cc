@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/test_dir.h"
+
 namespace midas {
 namespace eval {
 namespace {
@@ -52,7 +54,7 @@ TEST(ExperimentReportTest, AddPrfRow) {
 }
 
 TEST(ExperimentReportTest, WriteToFile) {
-  std::string path = ::testing::TempDir() + "/midas_report_test.json";
+  std::string path = tests::TestDir() + "/report.json";
   ExperimentReport report("smoke");
   report.AddRow("s", 1.0, {{"v", 2.0}});
   ASSERT_TRUE(report.WriteTo(path).ok());

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/test_dir.h"
 #include "midas/extract/dump_io.h"
 #include "midas/extract/extraction.h"
 #include "midas/rdf/dictionary.h"
@@ -25,11 +26,7 @@ namespace {
 class ColumnarRoundtripTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Unique per test case: ctest runs cases of this binary as separate
-    // concurrent processes, so a shared fixed path would collide.
-    const std::string stem =
-        ::testing::TempDir() + "/midas_roundtrip_" +
-        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    const std::string stem = tests::TestDir() + "/roundtrip";
     tsv_path_ = stem + ".tsv";
     col_path_ = stem + ".midascol";
     std::remove(tsv_path_.c_str());

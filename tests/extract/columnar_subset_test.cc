@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/test_dir.h"
 #include "midas/extract/columnar_io.h"
 #include "midas/extract/extraction.h"
 #include "midas/rdf/dictionary.h"
@@ -29,9 +30,7 @@ namespace {
 class ColumnarSubsetTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    col_path_ = ::testing::TempDir() + "/midas_subset_" +
-                ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-                ".midascol";
+    col_path_ = tests::TestDir() + "/subset.midascol";
     std::remove(col_path_.c_str());
   }
   void TearDown() override { std::remove(col_path_.c_str()); }

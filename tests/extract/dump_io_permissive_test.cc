@@ -11,6 +11,7 @@
 #include <fstream>
 #include <string>
 
+#include "common/test_dir.h"
 #include "midas/fault/fault.h"
 #include "midas/obs/metrics.h"
 
@@ -21,7 +22,7 @@ namespace {
 class DumpIoPermissiveTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/midas_dump_permissive_test.tsv";
+    path_ = tests::TestDir() + "/dump.tsv";
     std::remove(path_.c_str());
 #ifndef MIDAS_OBS_NOOP
     obs::Registry::Global().ResetAllForTest();

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 
+#include "common/test_dir.h"
 #include "midas/extract/dump_io.h"
 
 namespace midas {
@@ -49,7 +50,7 @@ TEST(BuildCorpusTest, GroupsByUrlAndFilters) {
 }
 
 TEST(DumpIoTest, SaveLoadRoundTrip) {
-  std::string path = ::testing::TempDir() + "/midas_dump_test.tsv";
+  std::string path = tests::TestDir() + "/dump.tsv";
   auto dump = MakeDump();
   ASSERT_TRUE(SaveDump(path, dump).ok());
 
@@ -63,7 +64,7 @@ TEST(DumpIoTest, SaveLoadRoundTrip) {
 }
 
 TEST(DumpIoTest, RejectsBadConfidence) {
-  std::string path = ::testing::TempDir() + "/midas_dump_bad.tsv";
+  std::string path = tests::TestDir() + "/dump_bad.tsv";
   {
     FILE* f = fopen(path.c_str(), "w");
     fputs("http://x.com\ts\tp\to\t1.5\n", f);
@@ -75,7 +76,7 @@ TEST(DumpIoTest, RejectsBadConfidence) {
 }
 
 TEST(DumpIoTest, RejectsWrongColumnCount) {
-  std::string path = ::testing::TempDir() + "/midas_dump_cols.tsv";
+  std::string path = tests::TestDir() + "/dump_cols.tsv";
   {
     FILE* f = fopen(path.c_str(), "w");
     fputs("http://x.com\ts\tp\to\n", f);

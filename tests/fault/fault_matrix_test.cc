@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/corpus_fixture.h"
+#include "common/test_dir.h"
 #include "midas/core/midas_alg.h"
 #include "midas/fault/fault.h"
 #include "midas/obs/metrics.h"
@@ -45,12 +46,26 @@ uint64_t CounterValue(const std::string& name) {
 /// the entry depends on wall-clock deadlines). Entries with `checkpoint`
 /// set run with a checkpoint log, exercising the durable-append path under
 /// the armed faults (append failures must never change the run's result).
+///
+/// gtest prints a parameter without a PrintTo as its raw bytes, and that
+/// dump becomes part of each ctest name. The pointer members come last so
+/// the leading bytes of every name are the same from one test discovery
+/// to the next (pointer values move with address-space randomisation).
 struct MatrixConfig {
-  const char* name;
-  const char* spec;
+  constexpr MatrixConfig(const char* entry_name, const char* fault_spec,
+                         uint64_t deadline, bool replays_exactly,
+                         bool with_checkpoint = false)
+      : deadline_ms(deadline),
+        deterministic(replays_exactly),
+        checkpoint(with_checkpoint),
+        name(entry_name),
+        spec(fault_spec) {}
+
   uint64_t deadline_ms;
   bool deterministic;
-  bool checkpoint = false;
+  bool checkpoint;
+  const char* name;
+  const char* spec;
 };
 
 const MatrixConfig kMatrix[] = {
@@ -154,8 +169,7 @@ class FaultMatrixTest : public ::testing::TestWithParam<MatrixConfig> {
     if (config.checkpoint) {
       // Fresh (non-resume) checkpointing each run so replays stay
       // bit-identical: Create truncates whatever the previous run left.
-      const std::string dir =
-          ::testing::TempDir() + "/midas_fault_matrix_ckpt";
+      const std::string dir = tests::TestDir() + "/ckpt";
       ::mkdir(dir.c_str(), 0755);
       fw.checkpoint_dir = dir;
     }
@@ -222,9 +236,8 @@ TEST_P(FaultMatrixTest, CompletesWithAccurateReportsAndBalancedSpans) {
     // the checkpoint log on disk is readable back to its last intact
     // record (a torn append may leave tail garbage behind valid_bytes).
     EXPECT_EQ(result.stats.sources_resumed, 0u);
-    const std::string log_path = ::testing::TempDir() +
-                                 "/midas_fault_matrix_ckpt/" +
-                                 store::kCheckpointFileName;
+    const std::string log_path =
+        tests::TestDir() + "/ckpt/" + store::kCheckpointFileName;
     StatusOr<store::RecordReadResult> read = store::ReadRecordLog(log_path);
     if (read.ok()) {
       EXPECT_LE(read->records.size(), result.sources.size() + 1);

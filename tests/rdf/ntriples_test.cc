@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "common/test_dir.h"
+
 namespace midas {
 namespace rdf {
 namespace {
@@ -64,7 +66,7 @@ TEST(NTriplesFormatTest, ObjectKindDetection) {
 class NTriplesFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/midas_ntriples_test.nt";
+    path_ = tests::TestDir() + "/test.nt";
   }
   void TearDown() override { std::remove(path_.c_str()); }
   std::string path_;

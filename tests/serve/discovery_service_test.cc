@@ -369,8 +369,11 @@ TEST_F(DiscoveryServiceTest, PartialResultsAreNeverCached) {
     EXPECT_TRUE(ParseBody(partial).Get("partial")->AsBool(false));
     EXPECT_EQ(*HeaderOf(partial, "X-Midas-Cache"), "skip");
   }
-  // The identical query re-runs (and completes): no stale partial serve.
-  const HttpResponse full = Call(service.get(), request);
+  // The same query without a budget re-runs and completes: no stale
+  // partial serve. deadline_ms is not part of the cache key, so a cached
+  // partial answer would be served here; the re-run has no deadline to race.
+  const HttpResponse full =
+      Call(service.get(), MakeRequest("POST", "/discover", "{}"));
   ASSERT_EQ(full.status, 200);
   EXPECT_EQ(*HeaderOf(full, "X-Midas-Cache"), "miss");
   EXPECT_FALSE(ParseBody(full).Get("partial")->AsBool(true));

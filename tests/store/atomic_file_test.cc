@@ -11,6 +11,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/test_dir.h"
 #include "midas/fault/fault.h"
 
 namespace midas {
@@ -33,7 +34,7 @@ bool Exists(const std::string& path) {
 class AtomicFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/midas_atomic_file_test.txt";
+    path_ = tests::TestDir() + "/atomic.txt";
     std::remove(path_.c_str());
     std::remove(AtomicTempPath(path_).c_str());
   }
@@ -67,7 +68,7 @@ TEST_F(AtomicFileTest, HandlesEmptyAndBinaryContents) {
 }
 
 TEST_F(AtomicFileTest, FailsWhenParentDirectoryMissing) {
-  const std::string bad = ::testing::TempDir() + "/midas_no_such_dir/x.txt";
+  const std::string bad = tests::TestDir() + "/no_such_dir/x.txt";
   const Status status = AtomicWriteFile(bad, "contents");
   EXPECT_EQ(status.code(), StatusCode::kIoError);
 }

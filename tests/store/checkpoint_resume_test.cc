@@ -14,10 +14,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <sys/stat.h>
 #include <vector>
 
 #include "common/corpus_fixture.h"
+#include "common/test_dir.h"
 #include "midas/core/framework.h"
 #include "midas/core/midas_alg.h"
 #include "midas/fault/fault.h"
@@ -85,10 +85,7 @@ RunDigest Digest(const FrameworkResult& result) {
 class CheckpointResumeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    const auto* info =
-        ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = ::testing::TempDir() + "/midas_ckpt_" + info->name();
-    ::mkdir(dir_.c_str(), 0755);
+    dir_ = tests::TestDir();
     ckpt_path_ = dir_ + "/" + store::kCheckpointFileName;
     std::remove(ckpt_path_.c_str());
   }

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/test_dir.h"
 #include "midas/fault/fault.h"
 #include "midas/store/atomic_file.h"
 #include "midas/util/random.h"
@@ -50,11 +51,7 @@ struct RawRecord {
 class ColumnarTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Unique per test case: ctest runs cases of this binary as separate
-    // concurrent processes, so a shared fixed path would collide.
-    path_ = ::testing::TempDir() + "/midas_columnar_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-            ".midascol";
+    path_ = tests::TestDir() + "/dump.midascol";
     std::remove(path_.c_str());
   }
   void TearDown() override {

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/test_dir.h"
 #include "midas/store/crc32.h"
 
 namespace midas {
@@ -36,7 +37,7 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
 class RecordLogTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/midas_record_log_test.log";
+    path_ = tests::TestDir() + "/records.log";
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/cli_helpers.h"
+#include "common/test_dir.h"
 #include "midas/obs/obs.h"
 
 namespace midas {
@@ -25,7 +26,7 @@ using tests::ParseInto;
 class CommandsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir();
+    dir_ = tests::TestDir();
     dump_ = dir_ + "/cli_dump.tsv";
     kb_ = dir_ + "/cli_kb.tsv";
     silver_ = dir_ + "/cli_silver.tsv";

@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "common/cli_helpers.h"
+#include "common/test_dir.h"
 #include "midas/obs/metrics.h"
 #include "midas/obs/trace.h"
 
@@ -25,7 +26,7 @@ using tests::ReadAll;
 class ExperimentCmdTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    metrics_ = ::testing::TempDir() + "/experiment_metrics.json";
+    metrics_ = tests::TestDir() + "/metrics.json";
     obs::Registry::Global().ResetAllForTest();
     obs::Tracer::Global().Reset();
   }

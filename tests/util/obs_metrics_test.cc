@@ -162,12 +162,12 @@ TEST(TracerTest, ScopedSpanClosesOnceIncludingOnThrow) {
   tracer.Reset();
   const int64_t open_before = tracer.open_spans();
   {
-    ScopedSpan outer("test.span.outer", "detail");
-    ScopedSpan inner("test.span.inner");
+    ScopedSpan outer(nullptr, "test.span.outer", "detail");
+    ScopedSpan inner(nullptr, "test.span.inner");
     EXPECT_EQ(tracer.open_spans(), open_before + 2);
   }
   try {
-    ScopedSpan span("test.span.throwing");
+    ScopedSpan span(nullptr, "test.span.throwing");
     throw std::runtime_error("boom");
   } catch (const std::runtime_error&) {
   }
@@ -189,10 +189,35 @@ TEST(TracerTest, CapacityBoundsBufferAndCountsDrops) {
   tracer.Reset();
   tracer.SetCapacity(4);
   for (int i = 0; i < 10; ++i) {
-    ScopedSpan span("test.span.capped");
+    ScopedSpan span(nullptr, "test.span.capped");
   }
   EXPECT_EQ(tracer.size(), 4u);
   EXPECT_EQ(tracer.dropped(), 6u);
+  tracer.SetCapacity(Tracer::kDefaultCapacity);
+  tracer.Reset();
+}
+
+TEST(TracerTest, ConcurrentSpansFillTheRingAndCountEveryDrop) {
+  Tracer& tracer = Tracer::Global();
+  tracer.Reset();
+  constexpr size_t kCapacity = 64;
+  constexpr size_t kThreads = 4;
+  constexpr size_t kSpansPerThread = 500;
+  tracer.SetCapacity(kCapacity);
+  Histogram latency;
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&latency] {
+      for (size_t i = 0; i < kSpansPerThread; ++i) {
+        ScopedSpan span(&latency, "test.span.concurrent");
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(tracer.size(), kCapacity);
+  EXPECT_EQ(tracer.dropped(), kThreads * kSpansPerThread - kCapacity);
+  // Dropped spans still feed the latency histogram.
+  EXPECT_EQ(latency.Count(), kThreads * kSpansPerThread);
   tracer.SetCapacity(Tracer::kDefaultCapacity);
   tracer.Reset();
 }

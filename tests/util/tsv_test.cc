@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "common/test_dir.h"
+
 namespace midas {
 namespace {
 
@@ -38,7 +40,7 @@ TEST(TsvRowTest, FormatAndParse) {
 class TsvFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/midas_tsv_test.tsv";
+    path_ = tests::TestDir() + "/test.tsv";
   }
   void TearDown() override { std::remove(path_.c_str()); }
   std::string path_;

@@ -1,0 +1,50 @@
+#ifndef MIDAS_BASELINES_METHODS_H_
+#define MIDAS_BASELINES_METHODS_H_
+
+#include <cstddef>
+#include <memory>
+#include <span>
+#include <string_view>
+
+#include "midas/core/profit.h"
+#include "midas/core/range_index.h"
+#include "midas/core/slice_detector.h"
+
+namespace midas {
+namespace baselines {
+
+/// What a method's detector factory reads; each method takes the fields
+/// that apply to it.
+struct DetectorConfig {
+  /// Profit coefficients (Def. 9), used by every method.
+  core::CostModel cost_model;
+  /// MIDAS only: the numeric-range extension (`discover --ranges`). Must
+  /// outlive the detector. Null = off.
+  const core::NumericRangeIndex* range_index = nullptr;
+  /// AggCluster only: entity cap per source (0 = unlimited).
+  size_t agg_max_entities = 0;
+};
+
+/// One slice-discovery method of the paper's evaluation (§IV-B).
+struct Method {
+  /// Name on the command line and in /discover requests ("midas").
+  const char* token;
+  /// Name in experiment reports ("MIDAS").
+  const char* suite_name;
+  /// True: the detector runs inside the framework's hierarchy rounds.
+  /// False: it sees each whole source once (per-source mode in `discover`
+  /// and /discover, per-domain mode in experiments).
+  bool hierarchy_rounds;
+  std::unique_ptr<core::SliceDetector> (*make)(const DetectorConfig& config);
+};
+
+/// The method table — midas, greedy, aggcluster, naive, in that order.
+std::span<const Method> Methods();
+
+/// The method whose token is `token`, or null.
+const Method* FindMethod(std::string_view token);
+
+}  // namespace baselines
+}  // namespace midas
+
+#endif  // MIDAS_BASELINES_METHODS_H_

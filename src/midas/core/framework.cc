@@ -125,17 +125,11 @@ void NormalizeShardFacts(Shard* shard) {
   shard->run_begins.clear();
 }
 
-/// Outcome of one shard's detect-with-retry. The default (kCancelled,
-/// 0 attempts) is exactly the report for a shard the run never picked up.
-struct ShardOutcome {
-  std::vector<DiscoveredSlice> slices;
-  SourceStatus status = SourceStatus::kCancelled;
-  size_t attempts = 0;
-  std::string error;
-  /// Restored from the checkpoint instead of detected this run.
-  bool resumed = false;
-  /// Restored from the detection memo instead of detected this run.
-  bool memo_hit = false;
+/// Where a round's shard outcome came from.
+enum class Origin : char {
+  kExecuted,    // handed to the executor (or never picked up)
+  kCheckpoint,  // restored from the checkpoint log
+  kMemo,        // restored from the detection memo
 };
 
 /// Projects the per-shard detection knobs out of the run's options — the
@@ -297,26 +291,27 @@ void InProcessShardExecutor::ExecuteRound(
     const uint64_t start_ns = MIDAS_OBS_NOW_NS();
     (void)start_ns;  // unused in a MIDAS_OBS_NOOP build
     SourceInput input;
-    input.url = task.url;
+    input.url = std::move(task.url);  // handed back after detection
     input.facts = task.facts;
     if (task.consolidate) {
+      input.seeds.reserve(task.child_slices.size());
       for (const auto& cs : task.child_slices) {
         input.seeds.push_back(cs.properties);
       }
     }
-    ShardDetectResult detected =
+    static_cast<ShardDetectResult&>(res) =
         DetectShardWithRetry(*ctx.detector, *ctx.kb, &input, ctx.detect);
-    res.status = detected.status;
-    res.attempts = detected.attempts;
-    res.error = std::move(detected.error);
+    task.url = std::move(input.url);
     if (task.want_raw) {
-      res.raw_slices = detected.slices;
+      res.raw_slices = res.slices;
       res.has_raw = true;
     }
-    res.surviving = task.consolidate
-                        ? ConsolidateSlices(std::move(detected.slices),
-                                            std::move(task.child_slices))
-                        : std::move(detected.slices);
+    // A failed/cancelled shard contributes no new slices, but its
+    // children's tentative slices still win consolidation unopposed.
+    if (task.consolidate) {
+      res.slices = ConsolidateSlices(std::move(res.slices),
+                                     std::move(task.child_slices));
+    }
     res.ran = true;
     MIDAS_OBS_RECORD(shard_us, (MIDAS_OBS_NOW_NS() - start_ns) / 1000);
   };
@@ -343,8 +338,6 @@ FrameworkResult MidasFramework::Run(const web::Corpus& corpus,
   // Shared-registry handles resolved once per Run; the per-shard tasks
   // record through them lock-free. ([[maybe_unused]]: the recording macros
   // compile out under MIDAS_OBS_NOOP.)
-  [[maybe_unused]] obs::Histogram* shard_us =
-      MIDAS_OBS_HISTOGRAM("framework.shard_us");
   [[maybe_unused]] obs::Histogram* normalize_us =
       MIDAS_OBS_HISTOGRAM("framework.normalize_us");
   [[maybe_unused]] obs::Histogram* merge_us =
@@ -412,23 +405,10 @@ FrameworkResult MidasFramework::Run(const web::Corpus& corpus,
     }
   }
 
-  // Detect with a per-shard error boundary and bounded retry (see
-  // DetectShardWithRetry — an uncaught exception in a pool task would
-  // std::terminate).
-  const auto detect = [&](SourceInput& input) {
-    ShardDetectResult detected = DetectShardWithRetry(
-        *detector_, kb, &input, DetectOptionsFrom(options_));
-    ShardOutcome out;
-    out.slices = std::move(detected.slices);
-    out.status = detected.status;
-    out.attempts = detected.attempts;
-    out.error = std::move(detected.error);
-    return out;
-  };
-
   // Folds one shard's outcome into the result's reports and stats
-  // (single-threaded: called only after each round's ParallelFor returns).
-  const auto record = [&](const std::string& url, const ShardOutcome& out) {
+  // (single-threaded: called only after each round's executor returns).
+  const auto record = [&](const std::string& url, const ShardDetectResult& out,
+                          Origin origin) {
     SourceReport report;
     report.url = url;
     report.status = out.status;
@@ -445,57 +425,17 @@ FrameworkResult MidasFramework::Run(const web::Corpus& corpus,
         out.status == SourceStatus::kCancelled) {
       result.partial = true;
     }
-    if (out.resumed) {
+    if (origin == Origin::kCheckpoint) {
       result.stats.sources_resumed++;
       MIDAS_OBS_ADD(resumed_c, 1);
-    }
-    if (out.memo_hit) {
+    } else if (origin == Origin::kMemo) {
       result.stats.memo_hits++;
       MIDAS_OBS_ADD(memo_hits_c, 1);
-    } else if (options_.memo != nullptr && !out.resumed && out.attempts > 0) {
+    } else if (options_.memo != nullptr && out.attempts > 0) {
       // A shard the memo could not serve and the run actually detected.
       result.stats.memo_misses++;
       MIDAS_OBS_ADD(memo_misses_c, 1);
     }
-  };
-
-  // Memo lookup shared by both run paths. On a hit the shard skips the
-  // Detect call and restores the memoized detector output bit-exactly; on a
-  // miss the caller stores the fingerprint for the post-round memo update.
-  const auto memo_lookup = [&](const std::string& url,
-                               const std::vector<rdf::Triple>& facts,
-                               const std::vector<std::vector<PropertyPair>>&
-                                   seeds,
-                               ShardOutcome* out, uint64_t* fingerprint) {
-    if (options_.memo == nullptr) return false;
-    *fingerprint =
-        DetectionMemo::ShardFingerprint(options_.memo_context, facts, seeds);
-    DetectionMemo::Entry entry;
-    if (!options_.memo->Lookup(url, *fingerprint, &entry)) return false;
-    out->slices = std::move(entry.slices);
-    out->status = entry.status;
-    out->attempts = entry.attempts;
-    out->error = entry.error;
-    out->memo_hit = true;
-    return true;
-  };
-
-  // Captures a freshly detected clean outcome for the post-round memo
-  // update (single-threaded writer; the copy happens in the parallel
-  // section before the slices are moved onward).
-  const auto memo_capture = [&](const ShardOutcome& out, uint64_t fingerprint,
-                                DetectionMemo::Entry* update, char* pending) {
-    if (options_.memo == nullptr || out.memo_hit || out.resumed) return;
-    if (out.status != SourceStatus::kOk &&
-        out.status != SourceStatus::kNoSlices) {
-      return;  // partial/failed/cancelled outcomes re-detect next run
-    }
-    update->fingerprint = fingerprint;
-    update->status = out.status;
-    update->attempts = out.attempts;
-    update->error = out.error;
-    update->slices = out.slices;
-    *pending = 1;
   };
 
   // Durably appends one finished shard (single-threaded: called from the
@@ -505,9 +445,9 @@ FrameworkResult MidasFramework::Run(const web::Corpus& corpus,
   // the log's tail may be torn, so checkpointing shuts off for the rest of
   // the run rather than bury further records behind unreadable bytes (a
   // later --resume still recovers the valid prefix).
-  const auto checkpoint = [&](const std::string& url, const ShardOutcome& out,
-                              const std::vector<DiscoveredSlice>& slices) {
-    if (!checkpointing || out.resumed ||
+  const auto checkpoint = [&](const std::string& url,
+                              const ShardDetectResult& out, Origin origin) {
+    if (!checkpointing || origin == Origin::kCheckpoint ||
         out.status == SourceStatus::kCancelled) {
       return;
     }
@@ -516,7 +456,7 @@ FrameworkResult MidasFramework::Run(const web::Corpus& corpus,
     entry.status = out.status;
     entry.attempts = static_cast<uint32_t>(out.attempts);
     entry.error = out.error;
-    entry.slices = slices;  // copied: the caller still moves them onward
+    entry.slices = out.slices;  // copied: the fold still moves them onward
     const Status status = ckpt_writer.Append(entry, corpus.dict());
     if (!status.ok()) {
       MIDAS_LOG(Warning)
@@ -531,153 +471,16 @@ FrameworkResult MidasFramework::Run(const web::Corpus& corpus,
     }
   };
 
-  const auto finish = [&] {
-    if (ckpt_writer.is_open()) {
-      const Status status = ckpt_writer.Close();
-      if (!status.ok()) {
-        MIDAS_LOG(Warning) << "checkpoint close failed: " << status.ToString();
-        result.stats.checkpoint_write_errors++;
-        MIDAS_OBS_ADD(ckpt_errors_c, 1);
-      }
-    }
-    // Deterministic report order regardless of shard scheduling. Stable so
-    // duplicate URLs (possible in ablation mode) keep corpus order.
-    std::stable_sort(result.sources.begin(), result.sources.end(),
-                     [](const SourceReport& a, const SourceReport& b) {
-                       return a.url < b.url;
-                     });
-    SortByProfitDesc(&result.slices);
-    result.stats.seconds = watch.ElapsedSeconds();
-  };
-
-  if (!options_.use_hierarchy_rounds) {
-    // Ablation mode: independent detection per explicit source, no rounds.
-    const auto& sources = corpus.sources();
-    std::vector<ShardOutcome> outcomes(sources.size());
-    std::vector<char> ran(sources.size(), 0);
-    std::vector<DetectionMemo::Entry> memo_updates(sources.size());
-    std::vector<char> memo_pending(sources.size(), 0);
-    static const std::vector<std::vector<PropertyPair>> kNoSeeds;
-    if (options_.executor == nullptr) {
-      pool.ParallelFor(
-          sources.size(),
-          [&](size_t i) {
-            MIDAS_OBS_SPAN(source_span, "framework.source", sources[i].url);
-            const uint64_t start_ns = MIDAS_OBS_NOW_NS();
-            (void)start_ns;  // unused in a MIDAS_OBS_NOOP build
-            const auto resumed_it = resumed_entries.find(sources[i].url);
-            if (resumed_it != resumed_entries.end()) {
-              // Already completed by the checkpointed run: restore the
-              // outcome bit-exactly instead of re-detecting. (Each shard
-              // touches only its own map entry, so the concurrent moves are
-              // safe.)
-              ShardOutcome& out = outcomes[i];
-              out.slices = std::move(resumed_it->second.slices);
-              out.status = resumed_it->second.status;
-              out.attempts = resumed_it->second.attempts;
-              out.error = resumed_it->second.error;
-              out.resumed = true;
-              ran[i] = 1;
-              return;
-            }
-            uint64_t memo_fp = 0;
-            if (!memo_lookup(sources[i].url, sources[i].facts, kNoSeeds,
-                             &outcomes[i], &memo_fp)) {
-              SourceInput input;
-              input.url = sources[i].url;
-              input.facts = &sources[i].facts;
-              outcomes[i] = detect(input);
-              memo_capture(outcomes[i], memo_fp, &memo_updates[i],
-                           &memo_pending[i]);
-            }
-            ran[i] = 1;
-            MIDAS_OBS_RECORD(shard_us, (MIDAS_OBS_NOW_NS() - start_ns) / 1000);
-          },
-          run_cancelled);
-    } else {
-      // Executor path: restore checkpointed/memoized sources here, hand
-      // the rest to the pluggable executor, then map its results back so
-      // the fold below is identical for both paths.
-      std::vector<ShardTask> tasks(sources.size());
-      std::vector<uint64_t> memo_fps(sources.size(), 0);
-      pool.ParallelFor(
-          sources.size(),
-          [&](size_t i) {
-            const auto resumed_it = resumed_entries.find(sources[i].url);
-            if (resumed_it != resumed_entries.end()) {
-              MIDAS_OBS_SPAN(source_span, "framework.source", sources[i].url);
-              ShardOutcome& out = outcomes[i];
-              out.slices = std::move(resumed_it->second.slices);
-              out.status = resumed_it->second.status;
-              out.attempts = resumed_it->second.attempts;
-              out.error = resumed_it->second.error;
-              out.resumed = true;
-              ran[i] = 1;
-              return;
-            }
-            if (memo_lookup(sources[i].url, sources[i].facts, kNoSeeds,
-                            &outcomes[i], &memo_fps[i])) {
-              MIDAS_OBS_SPAN(source_span, "framework.source", sources[i].url);
-              ran[i] = 1;
-              return;
-            }
-            tasks[i].url = sources[i].url;
-            tasks[i].facts = &sources[i].facts;
-            tasks[i].want_raw = options_.memo != nullptr;
-            tasks[i].source_ids.push_back(static_cast<uint32_t>(i));
-            tasks[i].normalized = false;
-          },
-          run_cancelled);
-      std::vector<ShardTaskResult> task_results(sources.size());
-      ShardExecutionContext ctx;
-      ctx.detector = detector_;
-      ctx.kb = &kb;
-      ctx.pool = &pool;
-      ctx.detect = DetectOptionsFrom(options_);
-      ctx.cancel = options_.cancel;
-      options_.executor->ExecuteRound(ctx, &tasks, &task_results);
-      for (size_t i = 0; i < sources.size(); ++i) {
-        ShardTaskResult& res = task_results[i];
-        if (!res.ran) continue;
-        ShardOutcome& out = outcomes[i];
-        out.status = res.status;
-        out.attempts = res.attempts;
-        out.error = std::move(res.error);
-        out.slices = std::move(res.surviving);
-        if (res.has_raw) {
-          ShardOutcome raw;
-          raw.slices = std::move(res.raw_slices);
-          raw.status = out.status;
-          raw.attempts = out.attempts;
-          raw.error = out.error;
-          memo_capture(raw, memo_fps[i], &memo_updates[i], &memo_pending[i]);
-        }
-        ran[i] = 1;
-      }
-    }
-    for (size_t i = 0; i < sources.size(); ++i) {
-      if (ran[i]) result.stats.shards_processed++;
-      checkpoint(sources[i].url, outcomes[i], outcomes[i].slices);
-      if (memo_pending[i]) {
-        options_.memo->Update(sources[i].url, std::move(memo_updates[i]));
-      }
-      for (auto& s : outcomes[i].slices) {
-        result.slices.push_back(std::move(s));
-      }
-      record(sources[i].url, outcomes[i]);
-    }
-    result.stats.rounds = 1;
-    finish();
-    return result;
-  }
-
-  // Current frontier of shards, keyed by URL.
+  // Hierarchy mode plans one shard per URL, starting from the explicit
+  // sources; ablation mode is a single depth-0 round of one unnormalized,
+  // unconsolidated task per explicit source (no shard ever bubbles up).
+  const bool hierarchy = options_.use_hierarchy_rounds;
+  const auto& sources = corpus.sources();
   std::unordered_map<std::string, Shard> frontier;
   size_t max_depth = 0;
-  {
-    const auto& corpus_sources = corpus.sources();
-    for (size_t si = 0; si < corpus_sources.size(); ++si) {
-      const auto& source = corpus_sources[si];
+  if (hierarchy) {
+    for (size_t si = 0; si < sources.size(); ++si) {
+      const auto& source = sources[si];
       Shard& shard = frontier[source.url];
       if (shard.url.empty()) {
         shard.url = source.url;
@@ -690,227 +493,180 @@ FrameworkResult MidasFramework::Run(const web::Corpus& corpus,
     }
   }
 
+  InProcessShardExecutor in_process;
+  ShardExecutor* executor =
+      options_.executor != nullptr ? options_.executor : &in_process;
+  ShardExecutionContext ctx;
+  ctx.detector = detector_;
+  ctx.kb = &kb;
+  ctx.pool = &pool;
+  ctx.detect = DetectOptionsFrom(options_);
+  ctx.cancel = options_.cancel;
+
   std::vector<DiscoveredSlice> final_slices;
 
-  // Rounds: depth d = max .. 0. Shards at depth d are detected and
-  // consolidated; their surviving slices and facts bubble to depth d-1.
+  // Rounds: depth d = max .. 0. Each round prepares its shards, hands the
+  // runnable ones to the executor, then folds every outcome into the
+  // result; surviving slices and facts bubble to depth d-1.
   for (size_t depth = max_depth + 1; depth-- > 0;) {
-    // Collect this round's shards.
+    // A shard's identity (url, child slices, source ids) moves into its
+    // task; `round` keeps the facts the task points at.
     std::vector<Shard> round;
-    for (auto it = frontier.begin(); it != frontier.end();) {
-      if (it->second.depth == depth) {
-        round.push_back(std::move(it->second));
-        it = frontier.erase(it);
-      } else {
-        ++it;
+    std::vector<ShardTask> tasks;
+    if (hierarchy) {
+      for (auto it = frontier.begin(); it != frontier.end();) {
+        if (it->second.depth == depth) {
+          round.push_back(std::move(it->second));
+          it = frontier.erase(it);
+        } else {
+          ++it;
+        }
+      }
+      if (round.empty()) continue;
+      tasks.resize(round.size());
+      for (size_t i = 0; i < round.size(); ++i) {
+        tasks[i].url = std::move(round[i].url);
+        tasks[i].child_slices = std::move(round[i].child_slices);
+        tasks[i].source_ids = std::move(round[i].source_ids);
+        tasks[i].consolidate = true;
+        tasks[i].normalized = true;
+      }
+    } else {
+      tasks.resize(sources.size());
+      for (size_t i = 0; i < sources.size(); ++i) {
+        tasks[i].url = sources[i].url;
+        tasks[i].source_ids.push_back(static_cast<uint32_t>(i));
       }
     }
-    if (round.empty()) continue;
     result.stats.rounds++;
     MIDAS_OBS_SPAN(round_span, "framework.round",
                    "depth=" + std::to_string(depth));
 
-    std::vector<std::vector<DiscoveredSlice>> surviving(round.size());
-    std::vector<ShardOutcome> outcomes(round.size());
-    std::vector<char> ran(round.size(), 0);
-    std::vector<DetectionMemo::Entry> memo_updates(round.size());
-    std::vector<char> memo_pending(round.size(), 0);
-    if (options_.executor == nullptr) {
-      pool.ParallelFor(
-          round.size(),
-          [&](size_t i) {
-            Shard& shard = round[i];
-            MIDAS_OBS_SPAN(source_span, "framework.source", shard.url);
+    // Prepare on the pool: normalize, then restore the shard from the
+    // checkpoint or the memo. Only what is left gets facts (= runnable).
+    std::vector<ShardTaskResult> results(tasks.size());
+    std::vector<Origin> origins(tasks.size(), Origin::kExecuted);
+    std::vector<uint64_t> memo_fps(tasks.size(), 0);
+    pool.ParallelFor(
+        tasks.size(),
+        [&](size_t i) {
+          ShardTask& task = tasks[i];
+          ShardTaskResult& res = results[i];
+          if (hierarchy) {
             const uint64_t start_ns = MIDAS_OBS_NOW_NS();
             (void)start_ns;  // unused in a MIDAS_OBS_NOOP build
             // The same triple can be extracted from several child pages;
             // the fact table requires a duplicate-free T_W.
-            NormalizeShardFacts(&shard);
+            NormalizeShardFacts(&round[i]);
             MIDAS_OBS_RECORD(normalize_us,
                              (MIDAS_OBS_NOW_NS() - start_ns) / 1000);
-            const auto resumed_it = resumed_entries.find(shard.url);
-            if (resumed_it != resumed_entries.end()) {
-              // Already completed by the checkpointed run. The entry stores
-              // this shard's *post-consolidation* surviving slices, so both
-              // detect and ConsolidateSlices are skipped; the normalized
-              // facts above still bubble to the parent deterministically.
-              // (Each shard touches only its own map entry, so the
-              // concurrent moves are safe.)
-              ShardOutcome& out = outcomes[i];
-              out.status = resumed_it->second.status;
-              out.attempts = resumed_it->second.attempts;
-              out.error = resumed_it->second.error;
-              out.resumed = true;
-              surviving[i] = std::move(resumed_it->second.slices);
-              ran[i] = 1;
-              return;
-            }
-            SourceInput input;
-            input.url = shard.url;
-            input.facts = &shard.facts;
-            for (const auto& cs : shard.child_slices) {
-              input.seeds.push_back(cs.properties);
-            }
-            // Memoized detection: the fingerprint covers the normalized
-            // subtree facts AND the child seeds, so a hit implies the
-            // detector would have seen byte-identical inputs. Consolidation
-            // still runs against the live child slices either way.
-            uint64_t memo_fp = 0;
-            if (!memo_lookup(shard.url, shard.facts, input.seeds,
-                             &outcomes[i], &memo_fp)) {
-              outcomes[i] = detect(input);
-              memo_capture(outcomes[i], memo_fp, &memo_updates[i],
-                           &memo_pending[i]);
-            }
-            // A failed/cancelled shard contributes no new slices, but its
-            // children's tentative slices still win consolidation unopposed.
-            surviving[i] = ConsolidateSlices(std::move(outcomes[i].slices),
-                                             std::move(shard.child_slices));
-            ran[i] = 1;
-            MIDAS_OBS_RECORD(shard_us, (MIDAS_OBS_NOW_NS() - start_ns) / 1000);
-          },
-          run_cancelled);
-    } else {
-      // Executor path: prepare every shard (normalize + restore from the
-      // checkpoint/memo) on the pool, hand the remainder to the pluggable
-      // executor as ShardTasks, then map its results back so the fold
-      // below is identical for both paths.
-      std::vector<ShardTask> tasks(round.size());
-      std::vector<uint64_t> memo_fps(round.size(), 0);
-      pool.ParallelFor(
-          round.size(),
-          [&](size_t i) {
-            Shard& shard = round[i];
-            const uint64_t start_ns = MIDAS_OBS_NOW_NS();
-            (void)start_ns;  // unused in a MIDAS_OBS_NOOP build
-            NormalizeShardFacts(&shard);
-            MIDAS_OBS_RECORD(normalize_us,
-                             (MIDAS_OBS_NOW_NS() - start_ns) / 1000);
-            const auto resumed_it = resumed_entries.find(shard.url);
-            if (resumed_it != resumed_entries.end()) {
-              MIDAS_OBS_SPAN(source_span, "framework.source", shard.url);
-              ShardOutcome& out = outcomes[i];
-              out.status = resumed_it->second.status;
-              out.attempts = resumed_it->second.attempts;
-              out.error = resumed_it->second.error;
-              out.resumed = true;
-              surviving[i] = std::move(resumed_it->second.slices);
-              ran[i] = 1;
-              return;
-            }
+          }
+          const std::vector<rdf::Triple>& facts =
+              hierarchy ? round[i].facts : sources[i].facts;
+          const auto resumed_it = resumed_entries.find(task.url);
+          if (resumed_it != resumed_entries.end()) {
+            // Already completed by the checkpointed run. The entry stores
+            // this shard's *post-consolidation* surviving slices, so both
+            // detect and ConsolidateSlices are skipped; the normalized
+            // facts above still bubble to the parent deterministically.
+            // (Each shard touches only its own map entry, so the
+            // concurrent moves are safe.)
+            MIDAS_OBS_SPAN(source_span, "framework.source", task.url);
+            res.slices = std::move(resumed_it->second.slices);
+            res.status = resumed_it->second.status;
+            res.attempts = resumed_it->second.attempts;
+            res.error = resumed_it->second.error;
+            res.ran = true;
+            origins[i] = Origin::kCheckpoint;
+            return;
+          }
+          if (options_.memo != nullptr) {
+            // The fingerprint covers the normalized facts AND the child
+            // seeds, so a hit implies the detector would have seen
+            // byte-identical inputs. Consolidation still runs against the
+            // live child slices.
             std::vector<std::vector<PropertyPair>> seeds;
-            seeds.reserve(shard.child_slices.size());
-            for (const auto& cs : shard.child_slices) {
+            seeds.reserve(task.child_slices.size());
+            for (const auto& cs : task.child_slices) {
               seeds.push_back(cs.properties);
             }
-            if (memo_lookup(shard.url, shard.facts, seeds, &outcomes[i],
-                            &memo_fps[i])) {
-              MIDAS_OBS_SPAN(source_span, "framework.source", shard.url);
-              surviving[i] = ConsolidateSlices(std::move(outcomes[i].slices),
-                                               std::move(shard.child_slices));
-              ran[i] = 1;
+            memo_fps[i] = DetectionMemo::ShardFingerprint(
+                options_.memo_context, facts, seeds);
+            DetectionMemo::Entry entry;
+            if (options_.memo->Lookup(task.url, memo_fps[i], &entry)) {
+              MIDAS_OBS_SPAN(source_span, "framework.source", task.url);
+              static_cast<ShardDetectResult&>(res) = std::move(entry);
+              if (task.consolidate) {
+                res.slices = ConsolidateSlices(std::move(res.slices),
+                                               std::move(task.child_slices));
+              }
+              res.ran = true;
+              origins[i] = Origin::kMemo;
               return;
             }
-            ShardTask& task = tasks[i];
-            task.url = shard.url;
-            task.facts = &shard.facts;
-            task.child_slices = std::move(shard.child_slices);
-            task.consolidate = true;
-            task.want_raw = options_.memo != nullptr;
-            // Copied, not moved: the shard's ids still bubble to the parent
-            // in the fold below.
-            task.source_ids = shard.source_ids;
-            task.normalized = true;
-          },
-          run_cancelled);
-      std::vector<ShardTaskResult> task_results(round.size());
-      ShardExecutionContext ctx;
-      ctx.detector = detector_;
-      ctx.kb = &kb;
-      ctx.pool = &pool;
-      ctx.detect = DetectOptionsFrom(options_);
-      ctx.cancel = options_.cancel;
-      options_.executor->ExecuteRound(ctx, &tasks, &task_results);
-      for (size_t i = 0; i < round.size(); ++i) {
-        ShardTaskResult& res = task_results[i];
-        if (!res.ran) {
-          // Hand the children's tentative slices back to the shard: a task
-          // the executor never ran surfaces them as best-so-far results in
-          // the fold, exactly like a shard the pool never picked up.
-          if (tasks[i].facts != nullptr) {
-            round[i].child_slices = std::move(tasks[i].child_slices);
+            task.want_raw = true;
           }
-          continue;
-        }
-        ShardOutcome& out = outcomes[i];
-        out.status = res.status;
-        out.attempts = res.attempts;
-        out.error = std::move(res.error);
-        if (res.has_raw) {
-          ShardOutcome raw;
-          raw.slices = std::move(res.raw_slices);
-          raw.status = out.status;
-          raw.attempts = out.attempts;
-          raw.error = out.error;
-          memo_capture(raw, memo_fps[i], &memo_updates[i], &memo_pending[i]);
-        }
-        surviving[i] = std::move(res.surviving);
-        ran[i] = 1;
-      }
-    }
+          task.facts = &facts;
+        },
+        run_cancelled);
+
+    executor->ExecuteRound(ctx, &tasks, &results);
 
     const bool cancelled_now = run_cancelled();
-    if (!cancelled_now) {
-      result.stats.shards_processed += round.size();
-    }
-
     const uint64_t merge_start_ns = MIDAS_OBS_NOW_NS();
     (void)merge_start_ns;  // unused in a MIDAS_OBS_NOOP build
-    // Export upward (or finalize at the domain level). On a cancelled run
-    // nothing bubbles further: every surviving slice — including tentative
-    // child slices of shards never picked up — goes straight to the final
-    // set, so the caller still sees the best-so-far state.
-    for (size_t i = 0; i < round.size(); ++i) {
-      Shard& shard = round[i];
-      record(shard.url, outcomes[i]);
+    // Export upward (or finalize at depth 0). On a cancelled run nothing
+    // bubbles further: every surviving slice — including tentative child
+    // slices of shards never run — goes straight to the final set, so the
+    // caller still sees the best-so-far state.
+    for (size_t i = 0; i < tasks.size(); ++i) {
+      ShardTask& task = tasks[i];
+      ShardTaskResult& res = results[i];
+      record(task.url, res, origins[i]);
       // Checkpoint before the slices are moved onward (skips shards the
       // run never picked up: their default outcome is kCancelled).
-      checkpoint(shard.url, outcomes[i], surviving[i]);
-      if (memo_pending[i]) {
-        options_.memo->Update(shard.url, std::move(memo_updates[i]));
+      checkpoint(task.url, res, origins[i]);
+      // Only clean outcomes are memoized: partial, failed and cancelled
+      // shards re-detect on the next run.
+      if (options_.memo != nullptr && res.has_raw &&
+          (res.status == SourceStatus::kOk ||
+           res.status == SourceStatus::kNoSlices)) {
+        DetectionMemo::Entry entry;
+        entry.fingerprint = memo_fps[i];
+        entry.status = res.status;
+        entry.attempts = res.attempts;
+        entry.error = res.error;
+        entry.slices = std::move(res.raw_slices);
+        options_.memo->Update(task.url, std::move(entry));
       }
-      if (!ran[i]) {
-        for (auto& s : shard.child_slices) {
-          final_slices.push_back(std::move(s));
-        }
+      if (!res.ran) {
+        // The executor left the children's tentative slices in the task.
+        for (auto& s : task.child_slices) final_slices.push_back(std::move(s));
         continue;
       }
-      if (cancelled_now) result.stats.shards_processed++;
-      result.stats.slices_considered += surviving[i].size();
+      result.stats.shards_processed++;
       if (depth == 0 || cancelled_now) {
-        for (auto& s : surviving[i]) final_slices.push_back(std::move(s));
+        for (auto& s : res.slices) final_slices.push_back(std::move(s));
         continue;
       }
-      std::string parent_url = web::ParentUrlString(shard.url);
+      std::string parent_url = web::ParentUrlString(task.url);
       Shard& parent = frontier[parent_url];
       if (parent.url.empty()) {
-        parent.url = parent_url;
+        parent.url = std::move(parent_url);
         parent.depth = depth - 1;
       }
-      // shard.facts is sorted + deduped (normalized above); record the run
-      // boundary so the parent's normalization can merge instead of sort.
-      parent.facts.reserve(parent.facts.size() + shard.facts.size());
+      // The shard's facts are sorted + deduped (normalized above); record
+      // the run boundary so the parent's normalization can merge instead
+      // of sort.
+      const std::vector<rdf::Triple>& facts = round[i].facts;
+      parent.facts.reserve(parent.facts.size() + facts.size());
       parent.run_begins.push_back(parent.facts.size());
-      parent.facts.insert(parent.facts.end(), shard.facts.begin(),
-                          shard.facts.end());
+      parent.facts.insert(parent.facts.end(), facts.begin(), facts.end());
       parent.source_ids.insert(parent.source_ids.end(),
-                               shard.source_ids.begin(),
-                               shard.source_ids.end());
+                               task.source_ids.begin(), task.source_ids.end());
       parent.child_slices.reserve(parent.child_slices.size() +
-                                  surviving[i].size());
-      for (auto& s : surviving[i]) {
-        parent.child_slices.push_back(std::move(s));
-      }
+                                  res.slices.size());
+      for (auto& s : res.slices) parent.child_slices.push_back(std::move(s));
     }
     MIDAS_OBS_RECORD(merge_us, (MIDAS_OBS_NOW_NS() - merge_start_ns) / 1000);
 
@@ -918,7 +674,7 @@ FrameworkResult MidasFramework::Run(const web::Corpus& corpus,
       // Drain the untouched shallower frontier: report each planned shard
       // cancelled and surface its children's tentative slices.
       for (auto& entry : frontier) {
-        record(entry.first, ShardOutcome{});
+        record(entry.first, ShardDetectResult{}, Origin::kExecuted);
         for (auto& s : entry.second.child_slices) {
           final_slices.push_back(std::move(s));
         }
@@ -928,8 +684,23 @@ FrameworkResult MidasFramework::Run(const web::Corpus& corpus,
     }
   }
 
+  if (ckpt_writer.is_open()) {
+    const Status status = ckpt_writer.Close();
+    if (!status.ok()) {
+      MIDAS_LOG(Warning) << "checkpoint close failed: " << status.ToString();
+      result.stats.checkpoint_write_errors++;
+      MIDAS_OBS_ADD(ckpt_errors_c, 1);
+    }
+  }
+  // Deterministic report order regardless of shard scheduling. Stable so
+  // duplicate URLs (possible in ablation mode) keep corpus order.
+  std::stable_sort(result.sources.begin(), result.sources.end(),
+                   [](const SourceReport& a, const SourceReport& b) {
+                     return a.url < b.url;
+                   });
   result.slices = std::move(final_slices);
-  finish();
+  SortByProfitDesc(&result.slices);
+  result.stats.seconds = watch.ElapsedSeconds();
   return result;
 }
 

@@ -91,12 +91,12 @@ struct FrameworkOptions {
   /// one memo can serve differently-configured runs without cross-talk.
   uint64_t memo_context = 0;
 
-  /// Pluggable round executor (see ShardExecutor below). Null keeps the
-  /// built-in in-process path: detect + consolidate on the run's thread
-  /// pool. A non-null executor (e.g. dist::DistCoordinator) receives each
-  /// round's non-restored shards as ShardTasks and returns their outcomes;
-  /// checkpointing, resume, memoization, and the post-round merge stay on
-  /// the framework side either way. Must outlive Run.
+  /// Round executor (see ShardExecutor below). Every round — in both
+  /// modes — hands its non-restored shards to this executor as ShardTasks;
+  /// null means a run-local InProcessShardExecutor (detect + consolidate on
+  /// the run's thread pool). Checkpointing, resume, memoization, and the
+  /// post-round merge stay on the framework side whichever executor runs
+  /// the shards. Must outlive Run.
   ShardExecutor* executor = nullptr;
 };
 
@@ -105,7 +105,6 @@ struct FrameworkStats {
   size_t rounds = 0;
   size_t shards_processed = 0;
   size_t detector_calls = 0;
-  size_t slices_considered = 0;  // tentative slices across rounds
   size_t shard_retries = 0;      // detector re-attempts after a throw
   size_t shards_failed = 0;      // shards whose every attempt threw
   size_t deadline_expirations = 0;  // shards that ran out of budget
@@ -156,8 +155,10 @@ struct ShardDetectOptions {
   const fault::CancelToken* run_cancel = nullptr;
 };
 
-/// Outcome of DetectShardWithRetry. The default (kCancelled, 0 attempts) is
-/// exactly the report for a shard the run never picked up.
+/// Outcome of one shard: DetectShardWithRetry's return value, and the base
+/// of the executor's ShardTaskResult and the memo's Entry. The default
+/// (kCancelled, 0 attempts) is exactly the report for a shard the run never
+/// picked up.
 struct ShardDetectResult {
   std::vector<DiscoveredSlice> slices;
   SourceStatus status = SourceStatus::kCancelled;
@@ -213,14 +214,10 @@ struct ShardTask {
   bool normalized = false;
 };
 
-/// Executor-side outcome of one ShardTask.
-struct ShardTaskResult {
-  SourceStatus status = SourceStatus::kCancelled;
-  size_t attempts = 0;
-  std::string error;
-  /// Post-consolidation survivors (== raw detector output when
-  /// task.consolidate was false).
-  std::vector<DiscoveredSlice> surviving;
+/// Executor-side outcome of one ShardTask. `slices` holds the
+/// post-consolidation survivors (== raw detector output when
+/// task.consolidate was false).
+struct ShardTaskResult : ShardDetectResult {
   /// Raw detector output, iff task.want_raw and has_raw.
   std::vector<DiscoveredSlice> raw_slices;
   bool has_raw = false;
@@ -257,10 +254,10 @@ class ShardExecutor {
                             std::vector<ShardTaskResult>* results) = 0;
 };
 
-/// The built-in strategy, factored behind the ShardExecutor seam: detect
-/// with retry + consolidate on the run's thread pool. A framework run with
-/// this executor is bit-identical to one with executor == nullptr (the
-/// inlined fast path); dist tests pin both against DistCoordinator.
+/// The built-in strategy: detect with retry (+ consolidate) on the run's
+/// thread pool, one framework.source span and one framework.shard_us sample
+/// per executed task. A run with FrameworkOptions::executor == nullptr uses
+/// a run-local instance; dist tests pin it against DistCoordinator.
 class InProcessShardExecutor : public ShardExecutor {
  public:
   void ExecuteRound(const ShardExecutionContext& ctx,
@@ -290,12 +287,8 @@ class DetectionMemo {
   /// One memoized shard outcome. `slices` is the raw detector output
   /// (pre-consolidation): consolidation always re-runs against the current
   /// child slices, so a memo hit is exactly "skip the Detect call".
-  struct Entry {
+  struct Entry : ShardDetectResult {
     uint64_t fingerprint = 0;
-    SourceStatus status = SourceStatus::kOk;
-    size_t attempts = 0;
-    std::string error;
-    std::vector<DiscoveredSlice> slices;
   };
 
   /// Copies the entry for `url` into `out` iff one exists with a matching

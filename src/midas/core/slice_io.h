@@ -6,6 +6,7 @@
 
 #include "midas/core/types.h"
 #include "midas/rdf/dictionary.h"
+#include "midas/util/json.h"
 #include "midas/util/status.h"
 
 namespace midas {
@@ -31,6 +32,13 @@ Status SaveSlices(const std::string& path, const rdf::Dictionary& dict,
 /// `out`.
 Status LoadSlices(const std::string& path, rdf::Dictionary* dict,
                   std::vector<DiscoveredSlice>* out);
+
+/// The JSON slice list of `discover --json` and `/discover`: one row per
+/// slice — source_url, description, properties [{predicate, value}],
+/// num_facts, num_new_facts, profit — for the first `limit` slices
+/// (0 = all), terms resolved through `dict`.
+JsonValue SlicesToJson(const std::vector<DiscoveredSlice>& slices,
+                       const rdf::Dictionary& dict, size_t limit = 0);
 
 }  // namespace core
 }  // namespace midas

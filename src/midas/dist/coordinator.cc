@@ -186,7 +186,7 @@ void DistCoordinator::FailUnit(size_t unit, const std::string& why,
   res.error = why;
   // Same shape as an in-process shard whose every detect attempt threw:
   // nothing detected, so consolidation keeps the children's slices.
-  res.surviving = task.consolidate
+  res.slices = task.consolidate
                       ? core::ConsolidateSlices({}, std::move(task.child_slices))
                       : std::vector<core::DiscoveredSlice>();
   res.has_raw = false;
@@ -697,7 +697,7 @@ bool DistCoordinator::DispatchFrame(size_t widx, const std::string& payload,
       res.status = msg.status;
       res.attempts = msg.attempts;
       res.error = std::move(msg.error);
-      res.surviving = std::move(msg.slices);
+      res.slices = std::move(msg.slices);
       res.has_raw = false;  // workers ship survivors only; memo skips them
       res.ran = true;
       ++units_done_;

@@ -11,30 +11,17 @@ namespace eval {
 
 MethodSuite::MethodSuite(core::CostModel cost_model,
                          size_t agg_max_entities) {
-  core::MidasOptions midas_options;
-  midas_options.cost_model = cost_model;
-  midas_ = std::make_unique<core::MidasAlg>(midas_options);
-
-  greedy_ = std::make_unique<baselines::GreedyDetector>(cost_model);
-
-  baselines::AggClusterOptions agg_options;
-  agg_options.cost_model = cost_model;
-  agg_options.max_entities = agg_max_entities;
-  agg_ = std::make_unique<baselines::AggClusterDetector>(agg_options);
-
-  naive_ = std::make_unique<baselines::NaiveDetector>(cost_model);
-
-  // MIDAS and Greedy run inside the hierarchy-round framework; AggCluster
-  // clusters each whole web source (domain) from scratch, one cluster per
-  // entity, as the paper describes — which is also what exposes its
-  // O(|E|² log |E|) cost on large sources (Fig. 10d); Naive ranks whole
-  // domains.
-  specs_ = {
-      {"MIDAS", midas_.get(), RunMode::kFrameworkRounds},
-      {"Greedy", greedy_.get(), RunMode::kFrameworkRounds},
-      {"AggCluster", agg_.get(), RunMode::kPerDomain},
-      {"Naive", naive_.get(), RunMode::kPerDomain},
-  };
+  baselines::DetectorConfig config;
+  config.cost_model = cost_model;
+  config.agg_max_entities = agg_max_entities;
+  // Methods outside the hierarchy rounds are evaluated per domain: the
+  // paper's AggCluster and Naive see each whole web source.
+  for (const baselines::Method& method : baselines::Methods()) {
+    detectors_.push_back(method.make(config));
+    specs_.push_back({method.suite_name, detectors_.back().get(),
+                      method.hierarchy_rounds ? RunMode::kFrameworkRounds
+                                              : RunMode::kPerDomain});
+  }
 }
 
 const MethodSpec* MethodSuite::Find(const std::string& name) const {

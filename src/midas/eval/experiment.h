@@ -7,6 +7,7 @@
 
 #include "midas/baselines/agg_cluster.h"
 #include "midas/baselines/greedy.h"
+#include "midas/baselines/methods.h"
 #include "midas/baselines/naive.h"
 #include "midas/core/framework.h"
 #include "midas/core/midas_alg.h"
@@ -35,9 +36,9 @@ struct MethodSpec {
   RunMode mode = RunMode::kFrameworkRounds;
 };
 
-/// The paper's four methods (§IV-B) over one cost model, with owned
-/// detector instances. `agg_max_entities` bounds AggCluster per source
-/// (0 = unlimited).
+/// The paper's four methods (§IV-B, baselines::Methods()) over one cost
+/// model, with owned detector instances. `agg_max_entities` bounds
+/// AggCluster per source (0 = unlimited).
 class MethodSuite {
  public:
   explicit MethodSuite(core::CostModel cost_model = core::CostModel(),
@@ -49,10 +50,7 @@ class MethodSuite {
   const MethodSpec* Find(const std::string& name) const;
 
  private:
-  std::unique_ptr<core::MidasAlg> midas_;
-  std::unique_ptr<baselines::GreedyDetector> greedy_;
-  std::unique_ptr<baselines::AggClusterDetector> agg_;
-  std::unique_ptr<baselines::NaiveDetector> naive_;
+  std::vector<std::unique_ptr<core::SliceDetector>> detectors_;
   std::vector<MethodSpec> specs_;
 };
 

@@ -63,25 +63,5 @@ Status ExperimentReport::WriteTo(const std::string& path) const {
   return store::AtomicWriteFile(path, ToJson().Dump(2) + "\n");
 }
 
-JsonValue SlicesToJson(const std::vector<core::DiscoveredSlice>& slices,
-                       const rdf::Dictionary& dict, size_t limit) {
-  JsonValue array = JsonValue::Array();
-  size_t count = limit == 0 ? slices.size() : std::min(limit, slices.size());
-  for (size_t i = 0; i < count; ++i) {
-    const auto& s = slices[i];
-    JsonValue row = JsonValue::Object();
-    row.Set("source_url", JsonValue::Str(s.source_url));
-    row.Set("description", JsonValue::Str(s.Description(dict)));
-    row.Set("num_facts", JsonValue::Int(static_cast<int64_t>(s.num_facts)));
-    row.Set("num_new_facts",
-            JsonValue::Int(static_cast<int64_t>(s.num_new_facts)));
-    row.Set("num_entities",
-            JsonValue::Int(static_cast<int64_t>(s.entities.size())));
-    row.Set("profit", JsonValue::Number(s.profit));
-    array.Append(std::move(row));
-  }
-  return array;
-}
-
 }  // namespace eval
 }  // namespace midas

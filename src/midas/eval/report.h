@@ -48,10 +48,6 @@ class ExperimentReport {
   std::vector<JsonValue> rows_;
 };
 
-/// Serializes a slice list as a JSON array (used by reports and the CLI).
-JsonValue SlicesToJson(const std::vector<core::DiscoveredSlice>& slices,
-                       const rdf::Dictionary& dict, size_t limit = 0);
-
 }  // namespace eval
 }  // namespace midas
 

@@ -5,9 +5,7 @@
 #include <utility>
 #include <vector>
 
-#include "midas/baselines/agg_cluster.h"
-#include "midas/baselines/greedy.h"
-#include "midas/baselines/naive.h"
+#include "midas/baselines/methods.h"
 #include "midas/core/midas.h"
 #include "midas/obs/export.h"
 #include "midas/util/hash.h"
@@ -38,8 +36,7 @@ Status ParseDiscoverOptions(const std::string& body, DiscoverOptions* out) {
   if (const JsonValue* v = parsed.Get("method")) {
     out->method = v->AsString("midas");
   }
-  if (out->method != "midas" && out->method != "greedy" &&
-      out->method != "aggcluster" && out->method != "naive") {
+  if (baselines::FindMethod(out->method) == nullptr) {
     return Status::InvalidArgument("unknown method: " + out->method);
   }
   if (const JsonValue* v = parsed.Get("f_p")) out->cost.f_p = v->AsDouble();
@@ -180,27 +177,15 @@ HttpResponse DiscoveryService::HandleDiscover(const HttpRequest& request,
     effective = &local_cancel;
   }
 
-  core::MidasOptions midas_options;
-  midas_options.cost_model = opts.cost;
-  std::unique_ptr<core::SliceDetector> detector;
-  bool hierarchy_rounds = true;
-  if (opts.method == "midas") {
-    detector = std::make_unique<core::MidasAlg>(midas_options);
-  } else if (opts.method == "greedy") {
-    detector = std::make_unique<baselines::GreedyDetector>(opts.cost);
-  } else if (opts.method == "aggcluster") {
-    baselines::AggClusterOptions agg;
-    agg.cost_model = opts.cost;
-    detector = std::make_unique<baselines::AggClusterDetector>(agg);
-    hierarchy_rounds = false;
-  } else {
-    detector = std::make_unique<baselines::NaiveDetector>(opts.cost);
-    hierarchy_rounds = false;
-  }
+  // The method was validated by ParseDiscoverOptions.
+  const baselines::Method& method = *baselines::FindMethod(opts.method);
+  baselines::DetectorConfig config;
+  config.cost_model = opts.cost;
+  const std::unique_ptr<core::SliceDetector> detector = method.make(config);
 
   core::FrameworkOptions framework_options;
   framework_options.num_threads = options_.num_threads;
-  framework_options.use_hierarchy_rounds = hierarchy_rounds;
+  framework_options.use_hierarchy_rounds = method.hierarchy_rounds;
   framework_options.cancel = effective;
   framework_options.memo = &memo_;
   framework_options.memo_context = MemoContext(opts, kb_.size());
@@ -227,32 +212,8 @@ HttpResponse DiscoveryService::HandleDiscover(const HttpRequest& request,
   report.Set("stats", std::move(stats));
   report.Set("num_slices",
              JsonValue::Int(static_cast<int64_t>(result.slices.size())));
-  JsonValue slices = JsonValue::Array();
-  const size_t limit = opts.top_k == 0
-                           ? result.slices.size()
-                           : std::min(result.slices.size(),
-                                      static_cast<size_t>(opts.top_k));
-  const rdf::Dictionary& dict = corpus_.dict();
-  for (size_t i = 0; i < limit; ++i) {
-    const auto& s = result.slices[i];
-    JsonValue row = JsonValue::Object();
-    row.Set("source_url", JsonValue::Str(s.source_url));
-    row.Set("description", JsonValue::Str(s.Description(dict)));
-    JsonValue props = JsonValue::Array();
-    for (const auto& p : s.properties) {
-      JsonValue prop = JsonValue::Object();
-      prop.Set("predicate", JsonValue::Str(dict.Term(p.predicate)));
-      prop.Set("value", JsonValue::Str(dict.Term(p.value)));
-      props.Append(std::move(prop));
-    }
-    row.Set("properties", std::move(props));
-    row.Set("num_facts", JsonValue::Int(static_cast<int64_t>(s.num_facts)));
-    row.Set("num_new_facts",
-            JsonValue::Int(static_cast<int64_t>(s.num_new_facts)));
-    row.Set("profit", JsonValue::Number(s.profit));
-    slices.Append(std::move(row));
-  }
-  report.Set("slices", std::move(slices));
+  report.Set("slices", core::SlicesToJson(result.slices, corpus_.dict(),
+                                          static_cast<size_t>(opts.top_k)));
 
   HttpResponse response = HttpResponse::Json(200, report);
   // Partial (deadline-cut) results are real answers but must never be

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -84,16 +85,26 @@ TEST_F(CrashMatrixTest, KillingEveryWorkerStillCompletes) {
   dopts.num_workers = 2;
   dopts.poll_interval_ms = 20;
   size_t kills = 0;
+  std::set<pid_t> killed;
   const DistHarness::DistRun run = harness.RunDist(
       BaseOptions(), dopts,
-      [&kills](DistCoordinator& coordinator, size_t units_done) {
-        // Kill a (possibly respawned) worker after each of the first three
-        // completions — both original workers die at least once.
-        if (kills >= 3 || units_done > 3) return;
+      [&kills, &killed](DistCoordinator& coordinator, size_t /*units_done*/) {
+        // After each completion, kill a worker the run has not killed yet,
+        // until three have died — more workers than the pool holds, so
+        // respawns die too. worker_pids() still lists a killed worker
+        // until the coordinator notices the loss, so a kill only counts
+        // when it hits a fresh pid; a completion that finds none waits for
+        // the next.
+        if (kills >= 3) return;
         const std::vector<pid_t> pids = coordinator.worker_pids();
-        if (pids.empty()) return;
-        ::kill(pids[kills % pids.size()], SIGKILL);
-        ++kills;
+        for (size_t j = 0; j < pids.size(); ++j) {
+          const pid_t pid = pids[(kills + j) % pids.size()];
+          if (killed.count(pid) != 0) continue;
+          ::kill(pid, SIGKILL);
+          killed.insert(pid);
+          ++kills;
+          return;
+        }
       });
   ASSERT_TRUE(run.start_status.ok()) << run.start_status.ToString();
   EXPECT_EQ(kills, 3u);

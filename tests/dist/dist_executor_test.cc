@@ -2,9 +2,9 @@
 // a DistCoordinator with N forked workers (N in {1, 4}) must produce
 // slices, profits (exact bit patterns), and per-source reports identical
 // to the in-process framework on the same seed — in hierarchy mode, in the
-// per-source ablation, and under an injected flaky detector. Also pins the
-// InProcessShardExecutor seam against the inlined path, worker fingerprint
-// rejection, idle heartbeats, and Start()'s argument validation.
+// per-source ablation, and under an injected flaky detector. Also pins
+// worker fingerprint rejection, idle heartbeats, and Start()'s argument
+// validation.
 
 #include "midas/dist/coordinator.h"
 
@@ -44,20 +44,6 @@ class DistExecutorTest : public ::testing::Test {
  protected:
   void TearDown() override { fault::FaultInjector::Global().Disarm(); }
 };
-
-TEST_F(DistExecutorTest, InProcessExecutorMatchesInlinedPath) {
-  const RunDigest inlined = Digest(DistHarness().RunBaseline(BaseOptions()));
-  core::InProcessShardExecutor executor;
-  core::FrameworkOptions fw = BaseOptions();
-  fw.executor = &executor;
-  EXPECT_EQ(Digest(DistHarness().RunBaseline(fw)), inlined);
-
-  const RunDigest ablation =
-      Digest(DistHarness().RunBaseline(BaseOptions(false)));
-  core::FrameworkOptions fw_flat = BaseOptions(false);
-  fw_flat.executor = &executor;
-  EXPECT_EQ(Digest(DistHarness().RunBaseline(fw_flat)), ablation);
-}
 
 TEST_F(DistExecutorTest, OneWorkerBitIdenticalToInProcess) {
   const core::FrameworkResult baseline =

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/test_dir.h"
+#include "midas/core/slice_io.h"
 
 namespace midas {
 namespace eval {
@@ -75,11 +76,16 @@ TEST(SlicesToJsonTest, SerializesAndLimits) {
     slices[i].properties.push_back(core::PropertyPair{
         dict.Intern("cat"), dict.Intern("v" + std::to_string(i))});
   }
-  JsonValue all = SlicesToJson(slices, dict);
+  JsonValue all = core::SlicesToJson(slices, dict);
   EXPECT_EQ(all.size(), 3u);
-  JsonValue limited = SlicesToJson(slices, dict, 2);
+  JsonValue limited = core::SlicesToJson(slices, dict, 2);
   EXPECT_EQ(limited.size(), 2u);
   EXPECT_NE(all.Dump().find("cat=v1"), std::string::npos);
+  // The `discover --json` / `/discover` row, field for field.
+  EXPECT_EQ(all.at(1).Dump(),
+            "{\"source_url\":\"http://x.com/1\",\"description\":\"cat=v1\","
+            "\"properties\":[{\"predicate\":\"cat\",\"value\":\"v1\"}],"
+            "\"num_facts\":0,\"num_new_facts\":0,\"profit\":1}");
 }
 
 }  // namespace

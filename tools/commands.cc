@@ -12,9 +12,7 @@
 #include <ostream>
 #include <unordered_map>
 
-#include "midas/baselines/agg_cluster.h"
-#include "midas/baselines/greedy.h"
-#include "midas/baselines/naive.h"
+#include "midas/baselines/methods.h"
 #include "midas/core/midas.h"
 #include "midas/dist/coordinator.h"
 #include "midas/dist/net.h"
@@ -306,7 +304,6 @@ struct DiscoverSetup {
   web::Corpus corpus;
   uint64_t corpus_fingerprint = 0;
   std::unique_ptr<rdf::KnowledgeBase> kb;
-  core::CostModel cost;
   std::unique_ptr<core::NumericRangeIndex> ranges;
   std::unique_ptr<core::SliceDetector> detector;
   bool hierarchy_rounds = true;
@@ -391,39 +388,29 @@ Status BuildDiscoverSetup(const FlagParser& flags, std::ostream& out,
         << " facts\n";
   }
 
-  setup->cost = core::CostModel{flags.GetDouble("f_p"), flags.GetDouble("f_c"),
-                                flags.GetDouble("f_d"),
-                                flags.GetDouble("f_v")};
-  core::MidasOptions options;
-  options.cost_model = setup->cost;
+  baselines::DetectorConfig config;
+  config.cost_model = core::CostModel{flags.GetDouble("f_p"),
+                                      flags.GetDouble("f_c"),
+                                      flags.GetDouble("f_d"),
+                                      flags.GetDouble("f_v")};
 
   if (flags.GetBool("ranges")) {
     setup->ranges = std::make_unique<core::NumericRangeIndex>(
         setup->dump.dict.get(), setup->corpus);
-    options.fact_table.range_index = setup->ranges.get();
+    config.range_index = setup->ranges.get();
     if (!json) {
       out << "numeric-range extension: " << setup->ranges->size()
           << " values bucketed\n";
     }
   }
 
-  // Detector selection.
   const std::string method = flags.GetString("method");
-  if (method == "midas") {
-    setup->detector = std::make_unique<core::MidasAlg>(options);
-  } else if (method == "greedy") {
-    setup->detector = std::make_unique<baselines::GreedyDetector>(setup->cost);
-  } else if (method == "aggcluster") {
-    baselines::AggClusterOptions agg;
-    agg.cost_model = setup->cost;
-    setup->detector = std::make_unique<baselines::AggClusterDetector>(agg);
-    setup->hierarchy_rounds = false;
-  } else if (method == "naive") {
-    setup->detector = std::make_unique<baselines::NaiveDetector>(setup->cost);
-    setup->hierarchy_rounds = false;
-  } else {
+  const baselines::Method* spec = baselines::FindMethod(method);
+  if (spec == nullptr) {
     return Status::InvalidArgument("unknown --method: " + method);
   }
+  setup->detector = spec->make(config);
+  setup->hierarchy_rounds = spec->hierarchy_rounds;
   return Status::OK();
 }
 
@@ -568,26 +555,7 @@ Status RunDiscoverImpl(const FlagParser& flags, std::ostream& out,
                JsonValue::Int(
                    static_cast<int64_t>(result.stats.deadline_expirations)));
     ReportSources(result, /*json=*/true, &report, out);
-    JsonValue slices = JsonValue::Array();
-    for (const auto& s : result.slices) {
-      JsonValue row = JsonValue::Object();
-      row.Set("source_url", JsonValue::Str(s.source_url));
-      row.Set("description", JsonValue::Str(s.Description(*dump.dict)));
-      JsonValue props = JsonValue::Array();
-      for (const auto& p : s.properties) {
-        JsonValue prop = JsonValue::Object();
-        prop.Set("predicate", JsonValue::Str(dump.dict->Term(p.predicate)));
-        prop.Set("value", JsonValue::Str(dump.dict->Term(p.value)));
-        props.Append(std::move(prop));
-      }
-      row.Set("properties", std::move(props));
-      row.Set("num_facts", JsonValue::Int(static_cast<int64_t>(s.num_facts)));
-      row.Set("num_new_facts",
-              JsonValue::Int(static_cast<int64_t>(s.num_new_facts)));
-      row.Set("profit", JsonValue::Number(s.profit));
-      slices.Append(std::move(row));
-    }
-    report.Set("slices", std::move(slices));
+    report.Set("slices", core::SlicesToJson(result.slices, *dump.dict));
     out << report.Dump(2) << "\n";
     if (!flags.GetString("out").empty()) {
       MIDAS_RETURN_IF_ERROR(core::SaveSlices(flags.GetString("out"),
@@ -755,21 +723,14 @@ Status RunExperiment(const FlagParser& flags, std::ostream& out) {
                        flags.GetDouble("f_d"), flags.GetDouble("f_v")};
   eval::MethodSuite suite(cost);
 
-  // CLI tokens -> suite names.
   std::vector<std::string> method_names;
   for (std::string_view token :
        SplitSkipEmpty(flags.GetString("methods"), ',')) {
-    if (token == "midas") {
-      method_names.emplace_back("MIDAS");
-    } else if (token == "greedy") {
-      method_names.emplace_back("Greedy");
-    } else if (token == "aggcluster") {
-      method_names.emplace_back("AggCluster");
-    } else if (token == "naive") {
-      method_names.emplace_back("Naive");
-    } else {
+    const baselines::Method* method = baselines::FindMethod(token);
+    if (method == nullptr) {
       return Status::InvalidArgument("unknown method: " + std::string(token));
     }
+    method_names.emplace_back(method->suite_name);
   }
   if (method_names.empty()) {
     return Status::InvalidArgument("--methods must name at least one method");

@@ -241,7 +241,7 @@ Status RunScale(uint64_t num_facts, const FlagParser& flags,
       timer.Restart();
       MIDAS_RETURN_IF_ERROR(reader.Open(col_path, read_options));
       MIDAS_RETURN_IF_ERROR(extract::LoadColumnarCorpusFromReader(
-          &reader, load_options, &parallel_corpus, nullptr));
+          &reader, load_options, &parallel_corpus));
       if (rep == 0 || timer.WallMs() < par_wall_ms) {
         par_wall_ms = timer.WallMs();
         par_cpu_ms = timer.CpuMs();
@@ -394,7 +394,6 @@ Status RunScale(uint64_t num_facts, const FlagParser& flags,
     if (threads == 0) threads = NumCpus();
     core::FrameworkOptions framework_options;
     framework_options.num_threads = threads;
-    framework_options.corpus_fingerprint = fingerprint;
     core::MidasFramework framework(&detector, framework_options);
     timer.Restart();
     auto result = framework.Run(corpus, kb);

@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench_util.h"
 #include "midas/rdf/knowledge_base.h"
 #include "midas/rdf/triple_store.h"
 #include "midas/util/random.h"
@@ -108,4 +109,4 @@ BENCHMARK(BM_TripleStorePatternQuery);
 }  // namespace rdf
 }  // namespace midas
 
-BENCHMARK_MAIN();
+MIDAS_BENCHMARK_MAIN_WITH_JSON_ARTIFACT()

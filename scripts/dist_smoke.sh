@@ -3,9 +3,11 @@
 # run `midas discover` on a synthetic corpus single-process, then with
 # --workers=4 (self-forked), then with a seeded worker_crash fault killing
 # workers mid-unit, then in external coordinator/worker mode over a unix
-# socket, then over localhost TCP with one worker crashing mid-unit — every
-# completing mode must produce a byte-identical slice list and an identical
-# JSON report (modulo wall-clock seconds).
+# socket, then over localhost TCP with one worker crashing mid-unit, then
+# off a shared columnar dump (self-forked, and a --method naive TCP fleet
+# whose bytes per assignment are bounded) — every completing mode must
+# produce a byte-identical slice list and an identical JSON report (modulo
+# wall-clock seconds).
 #
 # Usage: scripts/dist_smoke.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -147,95 +149,81 @@ grep -q "dist: lost" "$WORK/tcp_coord.err" \
        cat "$WORK/tcp_coord.err" >&2; exit 1; }
 check_identical "tcp-external" tcp.tsv tcp.json
 
-echo "== shared-dump corpus: generate + convert --reindex (~1M facts)"
-# Dense pages (~170 facts each) so an inline page assignment carries large
-# fact payloads while its by-reference equivalent is one fixed-size frame —
-# the shape the >=50x bytes-per-assignment assertion below measures.
+echo "== shared-dump corpus: generate + convert to columnar (~1M facts)"
+# Dense pages (~170 facts each): every worker loads this dump itself, so an
+# assignment names its shard by source id and ships no facts, however large
+# the page.
 "$MIDAS" generate --dataset slim-nell --num_sources 290 \
   --entities_per_page 64 --seed 13 \
   --dump "$WORK/big.tsv" --kb "$WORK/big_kb.tsv" > /dev/null
 "$MIDAS" convert --in "$WORK/big.tsv" --out "$WORK/big.col" --to columnar \
-  --reindex > "$WORK/convert.log"
-grep -q "source-range index: present" "$WORK/convert.log" \
-  || { echo "error: converted dump carries no source-range index" >&2
-       cat "$WORK/convert.log" >&2; exit 1; }
+  > "$WORK/convert.log"
 
-echo "== single-process baseline on the shared columnar dump"
+echo "== single-process baselines on the shared columnar dump"
 "$MIDAS" discover --dump "$WORK/big.col" --kb "$WORK/big_kb.tsv" --json \
   --out "$WORK/big_base.tsv" > "$WORK/big_base.json"
-
-echo "== self-forked --workers=2 off the shared dump (by-reference)"
 "$MIDAS" discover --dump "$WORK/big.col" --kb "$WORK/big_kb.tsv" --json \
-  --workers 2 --out "$WORK/big_ref.tsv" > "$WORK/big_ref.json" \
-  2> "$WORK/big_ref.err"
-diff "$WORK/big_base.tsv" "$WORK/big_ref.tsv" \
-  || { echo "error: by-reference slices differ from single-process" >&2
+  --method naive --out "$WORK/naive_base.tsv" > "$WORK/naive_base.json"
+
+echo "== self-forked --workers=2 off the shared dump"
+"$MIDAS" discover --dump "$WORK/big.col" --kb "$WORK/big_kb.tsv" --json \
+  --workers 2 --out "$WORK/big_dist.tsv" > "$WORK/big_dist.json" \
+  2> "$WORK/big_dist.err"
+diff "$WORK/big_base.tsv" "$WORK/big_dist.tsv" \
+  || { echo "error: shared-dump dist slices differ from single-process" >&2
        exit 1; }
 diff <(strip_seconds "$WORK/big_base.json") \
-     <(strip_seconds "$WORK/big_ref.json") \
-  || { echo "error: by-reference JSON differs from single-process" >&2
+     <(strip_seconds "$WORK/big_dist.json") \
+  || { echo "error: shared-dump dist JSON differs from single-process" >&2
        exit 1; }
 
-# Last (cumulative) round-complete line -> "bytes_per_assign assigns
-# ref_assigns". The coordinator emits one line per hierarchy round with
-# process-wide totals, so the final line covers the whole run.
-per_assign() {
-  awk '/dist: round complete/ {
-         for (i = 1; i <= NF; ++i) { split($i, kv, "="); v[kv[1]] = kv[2] }
-       }
-       END { printf "%d %d %d\n", v["bytes_sent"] / v["assigns"],
-             v["assigns"], v["ref_assigns"] }' "$1"
-}
-read -r _ big_assigns big_refs < <(per_assign "$WORK/big_ref.err")
-[ "$big_refs" -gt 0 ] && [ "$big_refs" -eq "$big_assigns" ] \
-  || { echo "error: shared-dump run sent $big_refs/$big_assigns assignments by reference" >&2
+echo "== assignment bytes: --method naive coordinator + 2 workers over TCP"
+# Flat source-level units: no hierarchy child payloads, so
+# coordinator->worker bytes are almost entirely the assignments themselves.
+# 114 B/unit is what the same leg measured when shards still shipped as
+# columnar record ranges; naming them by source id must not cost more.
+MAX_BYTES_PER_ASSIGN=114
+NAIVE_PORT=$(( (RANDOM % 20000) + 30000 ))
+"$MIDAS" coordinator --dump "$WORK/big.col" --kb "$WORK/big_kb.tsv" --json \
+  --method naive --listen "127.0.0.1:$NAIVE_PORT" --min_workers 2 \
+  --out "$WORK/naive_tcp.tsv" \
+  > "$WORK/naive_tcp.json" 2> "$WORK/naive_tcp.err" &
+NAIVE_COORD_PID=$!
+"$MIDAS" worker --dump "$WORK/big.col" --kb "$WORK/big_kb.tsv" \
+  --method naive --connect "127.0.0.1:$NAIVE_PORT" \
+  > "$WORK/naive_w1.log" 2>&1 &
+NAIVE_W1_PID=$!
+"$MIDAS" worker --dump "$WORK/big.col" --kb "$WORK/big_kb.tsv" \
+  --method naive --connect "127.0.0.1:$NAIVE_PORT" \
+  > "$WORK/naive_w2.log" 2>&1 &
+NAIVE_W2_PID=$!
+wait "$NAIVE_COORD_PID" \
+  || { echo "error: naive TCP coordinator exited non-zero" >&2
+       cat "$WORK/naive_tcp.err" "$WORK/naive_w1.log" \
+           "$WORK/naive_w2.log" >&2; exit 1; }
+wait "$NAIVE_W1_PID" || { echo "error: naive worker 1 exited non-zero" >&2
+                          cat "$WORK/naive_w1.log" >&2; exit 1; }
+wait "$NAIVE_W2_PID" || { echo "error: naive worker 2 exited non-zero" >&2
+                          cat "$WORK/naive_w2.log" >&2; exit 1; }
+diff "$WORK/naive_base.tsv" "$WORK/naive_tcp.tsv" \
+  || { echo "error: naive TCP slices differ from single-process" >&2
        exit 1; }
-
-echo "== by-reference vs inline assignment bytes over TCP"
-# Flat source-level units (--method naive): no hierarchy child payloads, so
-# coordinator->worker bytes are almost entirely the assignments themselves
-# and the per-assignment comparison is clean.
-run_bytes_leg() {
-  local by_ref="$1" prefix="$2"
-  local port=$(( (RANDOM % 20000) + 30000 ))
-  "$MIDAS" coordinator --dump "$WORK/big.col" --kb "$WORK/big_kb.tsv" --json \
-    --method naive --by_ref="$by_ref" --listen "127.0.0.1:$port" \
-    --min_workers 2 --out "$WORK/$prefix.tsv" \
-    > "$WORK/$prefix.json" 2> "$WORK/$prefix.err" &
-  local coord=$!
-  "$MIDAS" worker --dump "$WORK/big.col" --kb "$WORK/big_kb.tsv" \
-    --method naive --connect "127.0.0.1:$port" \
-    > "$WORK/${prefix}_w1.log" 2>&1 &
-  local w1=$!
-  "$MIDAS" worker --dump "$WORK/big.col" --kb "$WORK/big_kb.tsv" \
-    --method naive --connect "127.0.0.1:$port" \
-    > "$WORK/${prefix}_w2.log" 2>&1 &
-  local w2=$!
-  wait "$coord" \
-    || { echo "error: $prefix coordinator exited non-zero" >&2
-         cat "$WORK/$prefix.err" "$WORK/${prefix}_w1.log" \
-             "$WORK/${prefix}_w2.log" >&2; exit 1; }
-  wait "$w1" || { echo "error: $prefix worker 1 exited non-zero" >&2
-                  cat "$WORK/${prefix}_w1.log" >&2; exit 1; }
-  wait "$w2" || { echo "error: $prefix worker 2 exited non-zero" >&2
-                  cat "$WORK/${prefix}_w2.log" >&2; exit 1; }
-}
-run_bytes_leg true nref
-run_bytes_leg false ninl
-diff "$WORK/nref.tsv" "$WORK/ninl.tsv" \
-  || { echo "error: by-reference and inline TCP legs disagree" >&2; exit 1; }
-read -r ref_bpa ref_assigns ref_refs < <(per_assign "$WORK/nref.err")
-read -r inl_bpa inl_assigns inl_refs < <(per_assign "$WORK/ninl.err")
-[ "$ref_refs" -eq "$ref_assigns" ] && [ "$ref_refs" -gt 0 ] \
-  || { echo "error: ref leg sent $ref_refs/$ref_assigns by reference" >&2
+diff <(strip_seconds "$WORK/naive_base.json") \
+     <(strip_seconds "$WORK/naive_tcp.json") \
+  || { echo "error: naive TCP JSON differs from single-process" >&2
        exit 1; }
-[ "$inl_refs" -eq 0 ] \
-  || { echo "error: inline leg unexpectedly sent $inl_refs by-reference assignments" >&2
-       exit 1; }
-ratio=$(( inl_bpa / ref_bpa ))
-echo "assignment bytes/unit: inline=$inl_bpa by-ref=$ref_bpa (${ratio}x)"
-[ "$ratio" -ge 50 ] \
-  || { echo "error: by-reference shrink ${ratio}x below the required 50x" >&2
+# The last round-complete line carries process-wide totals for the run.
+bytes_per_assign=$(awk '/dist: round complete/ {
+    for (i = 1; i <= NF; ++i) { split($i, kv, "="); v[kv[1]] = kv[2] }
+  }
+  END { if (v["assigns"] > 0) printf "%d\n", v["bytes_sent"] / v["assigns"] }' \
+  "$WORK/naive_tcp.err")
+[ -n "$bytes_per_assign" ] \
+  || { echo "error: naive TCP coordinator logged no round" >&2
+       cat "$WORK/naive_tcp.err" >&2; exit 1; }
+echo "assignment bytes/unit: $bytes_per_assign (max $MAX_BYTES_PER_ASSIGN)"
+[ "$bytes_per_assign" -le "$MAX_BYTES_PER_ASSIGN" ] \
+  || { echo "error: $bytes_per_assign B/assignment above $MAX_BYTES_PER_ASSIGN" >&2
        exit 1; }
 
 echo "dist smoke OK"

@@ -1,11 +1,13 @@
 #include "midas/baselines/methods.h"
 
 #include <array>
+#include <bit>
 
 #include "midas/baselines/agg_cluster.h"
 #include "midas/baselines/greedy.h"
 #include "midas/baselines/naive.h"
 #include "midas/core/midas_alg.h"
+#include "midas/util/hash.h"
 
 namespace midas {
 namespace baselines {
@@ -56,6 +58,25 @@ const Method* FindMethod(std::string_view token) {
     if (token == method.token) return &method;
   }
   return nullptr;
+}
+
+uint64_t DetectorContext(std::string_view method,
+                         const core::CostModel& cost_model, bool ranges,
+                         const rdf::KnowledgeBase& kb) {
+  uint64_t h = Fnv1a64(method);
+  for (const double v : {cost_model.f_p, cost_model.f_c, cost_model.f_d,
+                         cost_model.f_v}) {
+    h = HashCombine(h, std::bit_cast<uint64_t>(v));
+  }
+  h = HashCombine(h, ranges ? 1u : 0u);
+  // A sum of mixed facts: the same KB hashes equal in any load order.
+  uint64_t kb_sum = 0;
+  for (const rdf::Triple& t : kb.store().triples()) {
+    kb_sum += HashMix(HashCombine(
+        (static_cast<uint64_t>(t.subject) << 32) | t.predicate, t.object));
+  }
+  h = HashCombine(h, kb.size());
+  return HashMix(HashCombine(h, kb_sum));
 }
 
 }  // namespace baselines

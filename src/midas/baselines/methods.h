@@ -2,6 +2,7 @@
 #define MIDAS_BASELINES_METHODS_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string_view>
@@ -9,6 +10,7 @@
 #include "midas/core/profit.h"
 #include "midas/core/range_index.h"
 #include "midas/core/slice_detector.h"
+#include "midas/rdf/knowledge_base.h"
 
 namespace midas {
 namespace baselines {
@@ -43,6 +45,16 @@ std::span<const Method> Methods();
 
 /// The method whose token is `token`, or null.
 const Method* FindMethod(std::string_view token);
+
+/// Identity of a configured detector (core::FrameworkOptions::
+/// detector_context): the method token, the cost model's exact bits,
+/// whether the numeric-range extension is on, and the KB's facts — as ids,
+/// order-independent; the run fingerprint binds the dictionary they index.
+/// Equal contexts mean equal detector output on equal shard inputs.
+/// O(|KB|).
+uint64_t DetectorContext(std::string_view method,
+                         const core::CostModel& cost_model, bool ranges,
+                         const rdf::KnowledgeBase& kb);
 
 }  // namespace baselines
 }  // namespace midas

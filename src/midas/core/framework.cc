@@ -100,8 +100,7 @@ struct Shard {
   /// Slices exported by children rounds (tentative results).
   std::vector<DiscoveredSlice> child_slices;
   /// Indices into the run corpus's sources() whose facts landed in this
-  /// subtree; bubbles up with `facts` so ShardTask::source_ids can name
-  /// the shard by reference to the corpus artifact.
+  /// subtree; bubbles up with `facts` and becomes ShardTask::source_ids.
   std::vector<uint32_t> source_ids;
 };
 
@@ -174,14 +173,21 @@ uint64_t ComputeRunFingerprint(const web::Corpus& corpus,
                                const FrameworkOptions& options) {
   uint64_t fp = HashMix(options.run_seed);
   fp = HashCombine(fp, options.use_hierarchy_rounds ? 1u : 0u);
-  // Mixed only when set, so checkpoints from corpora without a content
-  // hash (TSV loads, in-memory corpora) keep their historical fingerprint.
-  if (options.corpus_fingerprint != 0) {
-    fp = HashCombine(fp, options.corpus_fingerprint);
-  }
+  fp = HashCombine(fp, options.detector_context);
   for (const auto& source : corpus.sources()) {
     fp = HashCombine(fp, Fnv1a64(source.url));
     fp = HashCombine(fp, source.facts.size());
+    for (const rdf::Triple& t : source.facts) {
+      fp = HashCombine(fp, (static_cast<uint64_t>(t.subject) << 32) |
+                               t.predicate);
+      fp = HashCombine(fp, t.object);
+    }
+  }
+  // Ids mean the same terms only under the same dictionary.
+  const rdf::Dictionary& dict = corpus.dict();
+  fp = HashCombine(fp, dict.size());
+  for (size_t id = 0; id < dict.size(); ++id) {
+    fp = HashCombine(fp, Fnv1a64(dict.Term(static_cast<rdf::TermId>(id))));
   }
   return HashMix(fp);
 }
@@ -529,7 +535,6 @@ FrameworkResult MidasFramework::Run(const web::Corpus& corpus,
         tasks[i].child_slices = std::move(round[i].child_slices);
         tasks[i].source_ids = std::move(round[i].source_ids);
         tasks[i].consolidate = true;
-        tasks[i].normalized = true;
       }
     } else {
       tasks.resize(sources.size());
@@ -591,7 +596,7 @@ FrameworkResult MidasFramework::Run(const web::Corpus& corpus,
               seeds.push_back(cs.properties);
             }
             memo_fps[i] = DetectionMemo::ShardFingerprint(
-                options_.memo_context, facts, seeds);
+                options_.detector_context, facts, seeds);
             DetectionMemo::Entry entry;
             if (options_.memo->Lookup(task.url, memo_fps[i], &entry)) {
               MIDAS_OBS_SPAN(source_span, "framework.source", task.url);

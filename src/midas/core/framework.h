@@ -51,13 +51,6 @@ struct FrameworkOptions {
   /// determinism). Two runs with the same seed back off identically.
   uint64_t run_seed = 0;
 
-  /// Content hash of the corpus artifact the run was loaded from (the
-  /// MIDASCOL1 footer hash — see store/columnar.h). When nonzero it is
-  /// mixed into the checkpoint fingerprint, so a resume binds to the exact
-  /// columnar file bytes, not just the corpus shape. Zero (e.g. TSV loads)
-  /// keeps the shape-only fingerprint — existing checkpoints stay valid.
-  uint64_t corpus_fingerprint = 0;
-
   /// Optional whole-run cancel/deadline. Polled at shard boundaries: once
   /// expired, queued shards are skipped (reported kCancelled) and the run
   /// returns the slices consolidated so far with result.partial set. Also
@@ -85,11 +78,13 @@ struct FrameworkOptions {
   /// both are configured.
   DetectionMemo* memo = nullptr;
 
-  /// Mixed into every memo fingerprint. Callers fold in whatever else the
-  /// detector output depends on besides the shard's facts and seeds — the
-  /// detector's cost model / algorithm identity and the KB contents — so
-  /// one memo can serve differently-configured runs without cross-talk.
-  uint64_t memo_context = 0;
+  /// Identity of the detector the run uses: everything its output depends
+  /// on besides a shard's facts and seeds — the method, cost model, range
+  /// extension and KB content (baselines::DetectorContext computes it).
+  /// Mixed into every memo fingerprint, so one memo serves differently
+  /// configured runs without cross-talk, and into ComputeRunFingerprint, so
+  /// a resume or a dist worker with another detector is rejected.
+  uint64_t detector_context = 0;
 
   /// Round executor (see ShardExecutor below). Every round — in both
   /// modes — hands its non-restored shards to this executor as ShardTasks;
@@ -203,15 +198,12 @@ struct ShardTask {
   /// skips memoizing that shard.
   bool want_raw = false;
   /// Indices into the run corpus's sources() whose facts make up this
-  /// shard's subtree. An executor that also holds the corpus artifact can
-  /// name the shard by these instead of shipping `facts` — `facts` equals
-  /// the union of the named sources' fact lists, deduplicated, and sorted
-  /// iff `normalized`. Empty = provenance unknown; use `facts`.
+  /// shard's subtree; an executor whose workers hold the corpus names the
+  /// shard by these instead of shipping `facts`. Hierarchy tasks
+  /// (consolidate): `facts` is the sorted, deduplicated union of the named
+  /// sources' fact lists. Ablation tasks: exactly one id, and `facts` is
+  /// that source's fact list as is.
   std::vector<uint32_t> source_ids;
-  /// True iff `facts` is sorted + deduplicated (the NormalizeShardFacts
-  /// contract, hierarchy rounds). False in ablation mode, where `facts` is
-  /// one source's record-order fact list.
-  bool normalized = false;
 };
 
 /// Executor-side outcome of one ShardTask. `slices` holds the
@@ -269,7 +261,7 @@ class InProcessShardExecutor : public ShardExecutor {
 /// checkpoint log. A long-lived owner (the `midas serve` daemon) keeps one
 /// memo across framework runs over an evolving corpus: each shard's
 /// detector output is stored under a fingerprint of everything the detector
-/// saw (normalized facts, child seeds, and the caller's memo_context), so
+/// saw (normalized facts, child seeds, and the run's detector_context), so
 /// the next run re-detects only shards whose inputs actually changed and
 /// restores the rest bit-identically. Ingesting a fact delta therefore
 /// marks exactly the affected sources (and their URL ancestors) stale — no
@@ -338,11 +330,15 @@ struct FrameworkResult {
   bool partial = false;
 };
 
-/// Fingerprint binding a run to its inputs: seed, pipeline mode, and the
-/// corpus shape (per-source URL + fact count; content hash when available).
-/// The checkpoint ledger stores it so a resume rejects another run's
-/// results, and the dist handshake exchanges it so a coordinator rejects a
-/// worker that loaded a different corpus or options.
+/// Fingerprint binding a run to its inputs: seed, pipeline mode, detector
+/// (options.detector_context) and corpus content — per source its URL and
+/// fact ids, plus the dictionary's terms in id order, so equal fingerprints
+/// mean the same facts under the same ids. O(facts + terms); only
+/// checkpointed and dist runs compute it. The checkpoint ledger stores it
+/// so a resume rejects another run's results, and the dist handshake
+/// exchanges it so a coordinator rejects a worker that loaded a different
+/// corpus or options (source ids name the same facts on both ends only
+/// because of this check).
 uint64_t ComputeRunFingerprint(const web::Corpus& corpus,
                                const FrameworkOptions& options);
 

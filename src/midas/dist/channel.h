@@ -110,8 +110,7 @@ class FrameChannel {
   /// handed to the socket (magic + framing included; an injected torn write
   /// counts the prefix that actually left) and bytes read off it. Also
   /// exported as the dist.bytes_sent / dist.bytes_received counters. The
-  /// coordinator's per-round log derives bytes-per-assignment from these —
-  /// the number the by-reference dispatch exists to shrink.
+  /// coordinator's per-round log derives bytes-per-assignment from these.
   static uint64_t TotalBytesSent();
   static uint64_t TotalBytesReceived();
 

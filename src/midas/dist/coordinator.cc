@@ -74,10 +74,6 @@ obs::Counter* RejectedWorkersCounter() {
   static obs::Counter* c = MIDAS_OBS_COUNTER("dist.rejected_workers");
   return c;
 }
-obs::Counter* RefAssignsCounter() {
-  static obs::Counter* c = MIDAS_OBS_COUNTER("dist.ref_assigns");
-  return c;
-}
 
 int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -104,7 +100,6 @@ DistCoordinator::DistCoordinator(const rdf::Dictionary* dict,
   (void)HeartbeatsCounter();
   (void)UnitsFailedCounter();
   (void)RejectedWorkersCounter();
-  (void)RefAssignsCounter();
 }
 
 DistCoordinator::~DistCoordinator() { Shutdown(); }
@@ -266,57 +261,17 @@ bool DistCoordinator::SendAssign(size_t widx, size_t unit, uint32_t assignment,
                                  std::vector<core::ShardTask>* tasks) {
   Worker* worker = workers_[widx].get();
   const core::ShardTask& task = (*tasks)[unit];
-  // By-reference gate, decided per delivery: the run has a catalog, THIS
-  // worker declared the matching dump, and the catalog can name every
-  // source of the shard. Anything else ships the inline fallback — a
-  // re-assignment of the same unit may legitimately go inline to one
-  // worker and by reference to another.
-  bool by_ref = options_.corpus_hash != 0 &&
-                options_.source_ranges != nullptr &&
-                worker->corpus_hash == options_.corpus_hash &&
-                !task.source_ids.empty();
-  std::string frame;
-  if (by_ref) {
-    WorkAssignRefMsg ref;
-    ref.unit = unit;
-    ref.assignment = assignment;
-    ref.consolidate = task.consolidate;
-    ref.normalized = task.normalized;
-    ref.url = task.url;
-    ref.corpus_hash = options_.corpus_hash;
-    ref.threshold = options_.ref_threshold;
-    for (const uint32_t sid : task.source_ids) {
-      if (sid >= options_.source_ranges->size() ||
-          (*options_.source_ranges)[sid].empty()) {
-        by_ref = false;
-        break;
-      }
-      const auto& runs = (*options_.source_ranges)[sid];
-      ref.ranges.insert(ref.ranges.end(), runs.begin(), runs.end());
-    }
-    if (by_ref) {
-      ref.child_slices = task.child_slices;
-      frame = EncodeWorkAssignRef(ref, *dict_);
-    }
-  }
-  if (!by_ref) {
-    WorkAssignMsg msg;
-    msg.unit = unit;
-    msg.assignment = assignment;
-    msg.consolidate = task.consolidate;
-    msg.url = task.url;
-    msg.facts = *task.facts;
-    msg.child_slices = task.child_slices;
-    frame = EncodeWorkAssign(msg, *dict_);
-  }
-  const Status status = worker->channel.WriteFrame(frame);
+  WorkAssignMsg msg;
+  msg.unit = unit;
+  msg.assignment = assignment;
+  msg.consolidate = task.consolidate;
+  msg.url = task.url;
+  msg.source_ids = task.source_ids;
+  msg.child_slices = task.child_slices;
+  const Status status = worker->channel.WriteFrame(EncodeWorkAssign(msg, *dict_));
   if (!status.ok()) {
     LoseWorker(widx, status.message());
     return false;
-  }
-  if (by_ref) {
-    ++stats_.ref_assigns;
-    MIDAS_OBS_ADD(RefAssignsCounter(), 1);
   }
   worker->inflight_unit = static_cast<int64_t>(unit);
   worker->inflight_assignment = assignment;
@@ -429,29 +384,34 @@ Status DistCoordinator::Listen() {
 
 Status DistCoordinator::Start() {
   if (started_) return Status::FailedPrecondition("coordinator already started");
-  if (options_.num_workers > 0) {
+  const bool self_fork = options_.num_workers > 0;
+  if (self_fork) {
     if (!options_.worker_main) {
       return Status::InvalidArgument("num_workers set without worker_main");
     }
     for (size_t i = 0; i < options_.num_workers; ++i) {
       MIDAS_RETURN_IF_ERROR(ForkWorker());
     }
-    started_ = true;
-    accepting_midrun_ = true;
-    return Status::OK();
+  } else {
+    MIDAS_RETURN_IF_ERROR(Listen());
   }
-
-  MIDAS_RETURN_IF_ERROR(Listen());
   started_ = true;
 
-  // Wait until min_workers have completed their Hello.
+  // Wait for Hellos: min_workers of them in external mode; in self-fork
+  // mode one from every live forked worker, so the first round can
+  // schedule each of them (a worker that never said Hello gets no unit).
   const int64_t deadline = NowMs() + options_.accept_timeout_ms;
   for (;;) {
     size_t ready = 0;
+    size_t pending = 0;
     for (const auto& w : workers_) {
-      if (w->hello_ok) ++ready;
+      if (w->hello_ok) {
+        ++ready;
+      } else if (w->channel.valid()) {
+        ++pending;
+      }
     }
-    if (ready >= options_.min_workers) {
+    if (self_fork ? pending == 0 : ready >= options_.min_workers) {
       // Hellos arriving from here on are late joins / rejoins, admitted
       // against the respawn budget.
       accepting_midrun_ = true;
@@ -459,9 +419,12 @@ Status DistCoordinator::Start() {
     }
     const int64_t left = deadline - NowMs();
     if (left <= 0) {
-      return Status::IoError("timed out waiting for " +
-                             std::to_string(options_.min_workers) +
-                             " workers on '" + options_.listen_path + "'");
+      return Status::IoError(
+          self_fork ? "timed out waiting for " + std::to_string(pending) +
+                          " forked worker Hello(s)"
+                    : "timed out waiting for " +
+                          std::to_string(options_.min_workers) +
+                          " workers on '" + options_.listen_path + "'");
     }
     PollOnce(nullptr, nullptr, static_cast<int>(std::min<int64_t>(left, 200)));
   }
@@ -599,16 +562,21 @@ bool DistCoordinator::DispatchFrame(size_t widx, const std::string& payload,
         LoseWorker(widx, status.message());
         return false;
       }
-      if (hello.protocol != kDistProtocolVersion ||
-          (options_.fingerprint != 0 &&
-           hello.fingerprint != options_.fingerprint)) {
-        // Wrong protocol or a worker that loaded a different corpus/seed:
-        // its results could not be bit-identical, so it never joins.
+      // Wrong protocol, or a worker that loaded a different corpus, seed,
+      // mode or detector: its results could not be bit-identical, so it
+      // never joins.
+      if (hello.protocol != kDistProtocolVersion) {
         RejectWorker(widx, "protocol " + std::to_string(hello.protocol) +
-                               " / fingerprint mismatch");
+                               " (this coordinator speaks " +
+                               std::to_string(kDistProtocolVersion) + ")");
         return false;
       }
-      worker.corpus_hash = hello.corpus_hash;
+      if (options_.fingerprint != 0 &&
+          hello.fingerprint != options_.fingerprint) {
+        RejectWorker(widx, "run fingerprint mismatch (different corpus, "
+                           "seed, mode or detector)");
+        return false;
+      }
       if (worker.pid <= 0 && accepting_midrun_) {
         // External worker joining (or REjoining after a loss) after Start():
         // admitted against the same budget that caps fork-mode respawns, so
@@ -708,7 +676,6 @@ bool DistCoordinator::DispatchFrame(size_t widx, const std::string& payload,
       return true;
     }
     case MessageKind::kWorkAssign:
-    case MessageKind::kWorkAssignRef:
     case MessageKind::kShutdown:
       LoseWorker(widx, "unexpected coordinator-bound message kind");
       return false;
@@ -809,11 +776,10 @@ void DistCoordinator::ExecuteRound(const core::ShardExecutionContext& ctx,
     });
   }
   // One greppable line per round: dist_smoke.sh divides bytes_sent by
-  // assigns to pin the by-reference per-unit shrink, and operators get the
-  // inline-vs-ref mix without scraping /metricz.
+  // assigns to pin the per-unit assignment size, and operators get the
+  // wire totals without scraping /metricz.
   MIDAS_LOG(Info) << "dist: round complete units_done=" << units_done_
                   << " assigns=" << stats_.assigns
-                  << " ref_assigns=" << stats_.ref_assigns
                   << " speculative=" << stats_.speculative_assigns
                   << " bytes_sent=" << FrameChannel::TotalBytesSent()
                   << " bytes_received=" << FrameChannel::TotalBytesReceived();

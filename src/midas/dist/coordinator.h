@@ -12,7 +12,6 @@
 #include "midas/core/framework.h"
 #include "midas/dist/channel.h"
 #include "midas/rdf/dictionary.h"
-#include "midas/store/columnar.h"
 #include "midas/util/status.h"
 
 namespace midas {
@@ -25,7 +24,8 @@ namespace dist {
 /// of sharding, normalization, the checkpoint ledger, memoization, and the
 /// post-round merge, and delegates each round's prepared tasks here. The
 /// coordinator hands every task to a worker process as one WorkAssign over
-/// a unix-domain or TCP socket and maps WorkResults back — so a distributed
+/// a unix-domain or TCP socket — naming the shard by its corpus source ids,
+/// never shipping facts — and maps WorkResults back — so a distributed
 /// run flows through the exact consolidate/merge/report code a
 /// single-process run does, which is what the bit-identity tests pin.
 ///
@@ -72,23 +72,6 @@ struct DistOptions {
   /// a worker announcing a different fingerprint is rejected — it loaded a
   /// different corpus/seed and its results could not be bit-identical.
   uint64_t fingerprint = 0;
-
-  /// By-reference dispatch (protocol v3). When corpus_hash is nonzero AND
-  /// source_ranges is set, a worker whose Hello declared the same columnar
-  /// content hash receives WorkAssignRef frames — record ranges of the
-  /// shared dump instead of inline fact terms, O(sources) bytes per unit
-  /// instead of O(facts). Workers that declared a different or zero hash
-  /// fall back to inline WorkAssign per worker, so mixed fleets keep
-  /// working; a shard the catalog cannot name (empty source_ids, a source
-  /// with no ranges) also falls back. 0 disables by-reference dispatch.
-  uint64_t corpus_hash = 0;
-  /// Confidence threshold the run's corpus was loaded with; carried in
-  /// every WorkAssignRef so workers re-apply it when materializing ranges.
-  double ref_threshold = 0.0;
-  /// Per corpus-source record ranges (extract::BuildSourceRangeCatalog),
-  /// indexed by corpus source index. Null disables by-reference dispatch.
-  /// Must outlive the coordinator.
-  const std::vector<std::vector<store::RecordRange>>* source_ranges = nullptr;
 
   /// Re-assignments before a unit is abandoned as kFailed.
   uint32_t max_unit_assignments = 3;
@@ -168,9 +151,6 @@ class DistCoordinator : public core::ShardExecutor {
     uint64_t units_failed = 0;
     uint64_t heartbeats = 0;
     uint64_t rejected_workers = 0;
-    /// Deliveries that went out as WorkAssignRef (a subset of assigns +
-    /// speculative_assigns; the remainder shipped inline facts).
-    uint64_t ref_assigns = 0;
   };
   const Stats& stats() const { return stats_; }
 
@@ -179,9 +159,6 @@ class DistCoordinator : public core::ShardExecutor {
     FrameChannel channel;
     pid_t pid = -1;  // -1: external worker
     bool hello_ok = false;
-    /// Columnar dump hash the worker declared in Hello (0 = none): the
-    /// per-worker gate for by-reference assignment.
-    uint64_t corpus_hash = 0;
     int64_t inflight_unit = -1;  // -1: idle
     uint32_t inflight_assignment = 0;
     /// The in-flight unit belongs to a PREVIOUS round: its speculative twin

@@ -1,8 +1,5 @@
 #include "midas/dist/wire.h"
 
-#include <bit>
-#include <optional>
-
 #include "midas/store/checkpoint.h"
 
 namespace midas {
@@ -107,8 +104,6 @@ StatusOr<MessageKind> PeekKind(std::string_view payload) {
       return MessageKind::kHello;
     case 'a':
       return MessageKind::kWorkAssign;
-    case 'A':
-      return MessageKind::kWorkAssignRef;
     case 'r':
       return MessageKind::kWorkResult;
     case 'b':
@@ -125,9 +120,6 @@ std::string EncodeHello(const HelloMsg& msg) {
   payload.push_back(static_cast<char>(MessageKind::kHello));
   AppendU32(&payload, msg.protocol);
   AppendU64(&payload, msg.fingerprint);
-  // corpus_hash joined the message in v3; a sender claiming an older
-  // protocol must stay byte-compatible with it.
-  if (msg.protocol >= 3) AppendU64(&payload, msg.corpus_hash);
   return payload;
 }
 
@@ -135,15 +127,16 @@ Status DecodeHello(std::string_view payload, HelloMsg* out) {
   Cursor cur(payload);
   *out = HelloMsg();
   if (!ReadKindByte(&cur, MessageKind::kHello) ||
-      !cur.ReadU32(&out->protocol) || !cur.ReadU64(&out->fingerprint)) {
+      !cur.ReadU32(&out->protocol)) {
     return CorruptMsg("hello");
   }
-  // Decode by the sender's declared version so a protocol mismatch is
-  // rejected by the handshake check, not mistaken for corrupt bytes.
-  if (out->protocol >= 3 && !cur.ReadU64(&out->corpus_hash)) {
-    return CorruptMsg("hello corpus hash");
+  // Another version's body is that version's business: decode the number
+  // alone, so the handshake rejects the peer by version instead of losing
+  // it as a corrupt stream.
+  if (out->protocol != kDistProtocolVersion) return Status::OK();
+  if (!cur.ReadU64(&out->fingerprint) || !cur.AtEnd()) {
+    return CorruptMsg("hello");
   }
-  if (!cur.AtEnd()) return CorruptMsg("hello");
   return Status::OK();
 }
 
@@ -155,12 +148,8 @@ std::string EncodeWorkAssign(const WorkAssignMsg& msg,
   AppendU32(&payload, msg.assignment);
   payload.push_back(msg.consolidate ? '\1' : '\0');
   AppendStr(&payload, msg.url);
-  AppendU32(&payload, static_cast<uint32_t>(msg.facts.size()));
-  for (const rdf::Triple& fact : msg.facts) {
-    AppendStr(&payload, dict.Term(fact.subject));
-    AppendStr(&payload, dict.Term(fact.predicate));
-    AppendStr(&payload, dict.Term(fact.object));
-  }
+  AppendU32(&payload, static_cast<uint32_t>(msg.source_ids.size()));
+  for (const uint32_t id : msg.source_ids) AppendU32(&payload, id);
   AppendStr(&payload, store::EncodeSliceList(msg.child_slices, dict));
   return payload;
 }
@@ -179,93 +168,17 @@ Status DecodeWorkAssign(std::string_view payload, const rdf::Dictionary& dict,
     return CorruptMsg("work_assign consolidate flag");
   }
   out->consolidate = consolidate == '\1';
-  uint32_t nfacts = 0;
-  // Each serialized fact is three length-prefixed terms: >= 12 bytes.
-  if (!cur.ReadU32(&nfacts) || !PlausibleCount(cur, nfacts, 12)) {
-    return CorruptMsg("work_assign fact count");
+  uint32_t nsources = 0;
+  if (!cur.ReadU32(&nsources) || !PlausibleCount(cur, nsources, 4)) {
+    return CorruptMsg("work_assign source count");
   }
-  out->facts.resize(nfacts);
-  std::string scratch;
-  for (rdf::Triple& fact : out->facts) {
-    rdf::TermId* ids[3] = {&fact.subject, &fact.predicate, &fact.object};
-    for (rdf::TermId* id : ids) {
-      if (!cur.ReadStr(&scratch)) return CorruptMsg("work_assign fact term");
-      const std::optional<rdf::TermId> found = dict.Lookup(scratch);
-      if (!found.has_value()) {
-        return CorruptMsg("work_assign term unknown to dictionary");
-      }
-      *id = *found;
-    }
+  out->source_ids.resize(nsources);
+  for (uint32_t& id : out->source_ids) {
+    if (!cur.ReadU32(&id)) return CorruptMsg("work_assign source id");
   }
   std::string blob;
   if (!cur.ReadStr(&blob) || !cur.AtEnd()) {
     return CorruptMsg("work_assign slice blob");
-  }
-  MIDAS_RETURN_IF_ERROR(store::DecodeSliceList(blob, dict, &out->child_slices));
-  return Status::OK();
-}
-
-std::string EncodeWorkAssignRef(const WorkAssignRefMsg& msg,
-                                const rdf::Dictionary& dict) {
-  std::string payload;
-  payload.push_back(static_cast<char>(MessageKind::kWorkAssignRef));
-  AppendU64(&payload, msg.unit);
-  AppendU32(&payload, msg.assignment);
-  payload.push_back(msg.consolidate ? '\1' : '\0');
-  payload.push_back(msg.normalized ? '\1' : '\0');
-  AppendStr(&payload, msg.url);
-  AppendU64(&payload, msg.corpus_hash);
-  AppendU64(&payload, std::bit_cast<uint64_t>(msg.threshold));
-  AppendU32(&payload, static_cast<uint32_t>(msg.ranges.size()));
-  for (const store::RecordRange& range : msg.ranges) {
-    AppendU64(&payload, range.first);
-    AppendU64(&payload, range.last);
-  }
-  AppendStr(&payload, store::EncodeSliceList(msg.child_slices, dict));
-  return payload;
-}
-
-Status DecodeWorkAssignRef(std::string_view payload,
-                           const rdf::Dictionary& dict,
-                           WorkAssignRefMsg* out) {
-  Cursor cur(payload);
-  *out = WorkAssignRefMsg();
-  char consolidate = 0;
-  char normalized = 0;
-  if (!ReadKindByte(&cur, MessageKind::kWorkAssignRef) ||
-      !cur.ReadU64(&out->unit) || !cur.ReadU32(&out->assignment) ||
-      !cur.ReadByte(&consolidate) || !cur.ReadByte(&normalized) ||
-      !cur.ReadStr(&out->url)) {
-    return CorruptMsg("work_assign_ref header");
-  }
-  if ((consolidate != '\0' && consolidate != '\1') ||
-      (normalized != '\0' && normalized != '\1')) {
-    return CorruptMsg("work_assign_ref flags");
-  }
-  out->consolidate = consolidate == '\1';
-  out->normalized = normalized == '\1';
-  uint64_t threshold_bits = 0;
-  if (!cur.ReadU64(&out->corpus_hash) || !cur.ReadU64(&threshold_bits)) {
-    return CorruptMsg("work_assign_ref corpus hash");
-  }
-  out->threshold = std::bit_cast<double>(threshold_bits);
-  uint32_t nranges = 0;
-  // Each serialized range is two u64s: 16 bytes.
-  if (!cur.ReadU32(&nranges) || !PlausibleCount(cur, nranges, 16)) {
-    return CorruptMsg("work_assign_ref range count");
-  }
-  out->ranges.resize(nranges);
-  for (store::RecordRange& range : out->ranges) {
-    if (!cur.ReadU64(&range.first) || !cur.ReadU64(&range.last)) {
-      return CorruptMsg("work_assign_ref range");
-    }
-    if (range.first > range.last) {
-      return CorruptMsg("work_assign_ref range inverted");
-    }
-  }
-  std::string blob;
-  if (!cur.ReadStr(&blob) || !cur.AtEnd()) {
-    return CorruptMsg("work_assign_ref slice blob");
   }
   MIDAS_RETURN_IF_ERROR(store::DecodeSliceList(blob, dict, &out->child_slices));
   return Status::OK();

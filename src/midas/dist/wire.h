@@ -9,8 +9,6 @@
 #include "midas/core/framework.h"
 #include "midas/core/types.h"
 #include "midas/rdf/dictionary.h"
-#include "midas/rdf/triple.h"
-#include "midas/store/columnar.h"
 #include "midas/util/status.h"
 
 namespace midas {
@@ -26,47 +24,39 @@ namespace dist {
 /// store::RecordStreamDecoder). Each record payload is one message:
 ///
 ///   message    := kind:u8 body
-///   Hello      := 'h' protocol:u32 fingerprint:u64 corpus_hash:u64
-///                                                       (worker → coord)
+///   Hello      := 'h' protocol:u32 fingerprint:u64       (worker → coord)
 ///   WorkAssign := 'a' unit:u64 assignment:u32 consolidate:u8 url:str
-///                 nfacts:u32 (s p o)* child_blob:str     (coord → worker)
-///   WorkAssignRef := 'A' unit:u64 assignment:u32 consolidate:u8
-///                 normalized:u8 url:str corpus_hash:u64 threshold:f64
-///                 nranges:u32 (first:u64 last:u64)* child_blob:str
+///                 nsources:u32 source_id:u32* child_blob:str
 ///                                                       (coord → worker)
 ///   WorkResult := 'r' unit:u64 assignment:u32 status:u32 attempts:u32
 ///                 error:str slice_blob:str               (worker → coord)
 ///   Heartbeat  := 'b' units_completed:u64                (worker → coord)
 ///   Shutdown   := 'q'                                    (coord → worker)
 ///
-/// Integers little-endian; f64 is the IEEE-754 bit pattern as u64; strings
-/// u32 length + bytes; terms travel as dictionary *strings* (both ends
-/// loaded the same corpus, so lookups resolve; ids are
-/// interning-order-dependent and never cross the wire). WorkAssignRef is
-/// the exception that proves the rule: it ships no terms at all — only
-/// record ranges of a columnar file both ends hold, named by its content
-/// hash — so its cost is O(ranges), not O(facts).
-/// child_blob / slice_blob nest store::EncodeSliceList payloads — slices
+/// Integers little-endian; strings u32 length + bytes. A shard travels as
+/// the corpus source ids it covers (ShardTask::source_ids): every worker
+/// holds the run's corpus, so it rebuilds the shard's facts from its own
+/// copy and no fact crosses the wire. Slice terms travel as dictionary
+/// *strings* (ids are interning-order-dependent and never cross the wire):
+/// child_blob / slice_blob nest store::EncodeSliceList payloads, so slices
 /// cross the socket with the checkpoint codec's bit-exact profit.
 ///
 /// Hello's fingerprint is core::ComputeRunFingerprint: a coordinator
-/// rejects a worker that loaded a different corpus, seed, or pipeline mode
-/// instead of merging results that cannot be bit-identical.
+/// rejects a worker that loaded a different corpus (content, not just
+/// shape), seed, pipeline mode or detector instead of merging results that
+/// cannot be bit-identical — and source ids name the same facts on both
+/// ends only because of that check.
 
 /// Current protocol version, carried in Hello. v2 added
-/// WorkResult.assignment: with liveness-driven requeues and speculative
-/// re-assignment, a unit can legitimately be in flight on two workers at
-/// once, and the coordinator needs the assignment id echoed back to tell a
-/// live result from a zombie one. v3 added Hello.corpus_hash (the worker's
-/// local columnar dump, 0 = none) and WorkAssignRef — a coordinator only
-/// sends the latter to workers that declared the matching hash, so mixed
-/// fleets keep working on inline WorkAssign.
-inline constexpr uint32_t kDistProtocolVersion = 3;
+/// WorkResult.assignment (the zombie check under requeues and speculative
+/// re-assignment); v4 names shards by corpus source id. A Hello from any
+/// other version decodes to its version alone, so the handshake rejects it
+/// by number instead of mistaking its body for corrupt bytes.
+inline constexpr uint32_t kDistProtocolVersion = 4;
 
 enum class MessageKind : uint8_t {
   kHello = 'h',
   kWorkAssign = 'a',
-  kWorkAssignRef = 'A',
   kWorkResult = 'r',
   kHeartbeat = 'b',
   kShutdown = 'q',
@@ -75,10 +65,6 @@ enum class MessageKind : uint8_t {
 struct HelloMsg {
   uint32_t protocol = kDistProtocolVersion;
   uint64_t fingerprint = 0;
-  /// Content hash of the columnar dump the worker can serve by-reference
-  /// assignments from (store::ColumnarReader::content_fingerprint); 0 = no
-  /// local dump, inline assignments only. Absent on the wire before v3.
-  uint64_t corpus_hash = 0;
 };
 
 struct WorkAssignMsg {
@@ -91,35 +77,9 @@ struct WorkAssignMsg {
   /// Hierarchy mode: consolidate detected slices against child_slices.
   bool consolidate = false;
   std::string url;
-  /// Normalized subtree facts for this shard.
-  std::vector<rdf::Triple> facts;
-  /// Children's tentative slices (their properties seed the detector).
-  std::vector<core::DiscoveredSlice> child_slices;
-};
-
-/// By-reference shard assignment: instead of inline fact terms, the shard's
-/// facts are named as record ranges of a columnar dump both ends hold
-/// (identified by content hash). The worker rebuilds the fact vector with
-/// extract::CollectColumnarFacts — bit-identical to the inline vector,
-/// because both ends fresh-adopted the same file's dictionary.
-struct WorkAssignRefMsg {
-  uint64_t unit = 0;
-  uint32_t assignment = 1;
-  /// See WorkAssignMsg::consolidate.
-  bool consolidate = false;
-  /// True: the fact vector is sorted + deduped (hierarchy shards, the
-  /// NormalizeShardFacts contract). False: per-source record-order dedup
-  /// (ablation shards use the source's corpus fact list verbatim).
-  bool normalized = false;
-  std::string url;
-  /// Must match the hash the worker declared in Hello; a worker rejects a
-  /// mismatch (stale assignment against a different dump).
-  uint64_t corpus_hash = 0;
-  /// The coordinator's load threshold; the worker re-applies it when
-  /// filtering the ranges' records.
-  double threshold = 0.0;
-  /// Record ranges covering the shard's sources, ascending by position.
-  std::vector<store::RecordRange> ranges;
+  /// Indices into the run corpus's sources() whose facts make up the shard
+  /// (ShardTask::source_ids).
+  std::vector<uint32_t> source_ids;
   /// Children's tentative slices (their properties seed the detector).
   std::vector<core::DiscoveredSlice> child_slices;
 };
@@ -152,12 +112,6 @@ std::string EncodeWorkAssign(const WorkAssignMsg& msg,
                              const rdf::Dictionary& dict);
 Status DecodeWorkAssign(std::string_view payload, const rdf::Dictionary& dict,
                         WorkAssignMsg* out);
-
-std::string EncodeWorkAssignRef(const WorkAssignRefMsg& msg,
-                                const rdf::Dictionary& dict);
-Status DecodeWorkAssignRef(std::string_view payload,
-                           const rdf::Dictionary& dict,
-                           WorkAssignRefMsg* out);
 
 std::string EncodeWorkResult(const WorkResultMsg& msg,
                              const rdf::Dictionary& dict);

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
@@ -13,7 +14,6 @@
 #include "midas/core/consolidate.h"
 #include "midas/dist/channel.h"
 #include "midas/dist/wire.h"
-#include "midas/extract/columnar_io.h"
 #include "midas/fault/fault.h"
 #include "midas/obs/obs.h"
 #include "midas/util/logging.h"
@@ -28,27 +28,59 @@ obs::Counter* UnitsCounter() {
   return c;
 }
 
+/// Points `*facts` at the shard's facts, rebuilt from the corpus sources
+/// an assignment names. Hierarchy shards get the sorted, deduplicated
+/// union in `buffer` (NormalizeShardFacts over the same sources yields
+/// the same vector); an ablation shard is one source's fact list as is.
+Status ShardFacts(const web::Corpus& corpus, const WorkAssignMsg& assign,
+                  std::vector<rdf::Triple>* buffer,
+                  const std::vector<rdf::Triple>** facts) {
+  const std::vector<web::WebSource>& sources = corpus.sources();
+  for (const uint32_t id : assign.source_ids) {
+    if (id >= sources.size()) {
+      return Status::Corruption("assignment names source " +
+                                std::to_string(id) + " of a corpus with " +
+                                std::to_string(sources.size()));
+    }
+  }
+  if (!assign.consolidate) {
+    if (assign.source_ids.size() != 1) {
+      return Status::Corruption(
+          "ablation assignment must name exactly one source, got " +
+          std::to_string(assign.source_ids.size()));
+    }
+    *facts = &sources[assign.source_ids[0]].facts;
+    return Status::OK();
+  }
+  buffer->clear();
+  for (const uint32_t id : assign.source_ids) {
+    buffer->insert(buffer->end(), sources[id].facts.begin(),
+                    sources[id].facts.end());
+  }
+  std::sort(buffer->begin(), buffer->end());
+  buffer->erase(std::unique(buffer->begin(), buffer->end()),
+                 buffer->end());
+  *facts = buffer;
+  return Status::OK();
+}
+
 }  // namespace
 
 Status RunWorkerLoop(int fd, const WorkerConfig& config) {
-  if (config.detector == nullptr || config.kb == nullptr ||
-      config.dict == nullptr) {
+  if (config.corpus == nullptr || config.detector == nullptr ||
+      config.kb == nullptr) {
     ::close(fd);
-    return Status::InvalidArgument("WorkerConfig missing detector/kb/dict");
+    return Status::InvalidArgument("WorkerConfig missing corpus/detector/kb");
   }
+  const rdf::Dictionary& dict = config.corpus->dict();
   FrameChannel channel(fd, "coordinator", config.transport);
   MIDAS_RETURN_IF_ERROR(channel.SendMagic());
   HelloMsg hello;
   hello.fingerprint = config.fingerprint;
-  if (config.corpus_reader != nullptr) {
-    hello.corpus_hash = config.corpus_reader->content_fingerprint();
-  }
   MIDAS_RETURN_IF_ERROR(channel.WriteFrame(EncodeHello(hello)));
-  const std::vector<rdf::TermId> kIdentityRemap;
-  const std::vector<rdf::TermId>& corpus_remap =
-      config.corpus_remap != nullptr ? *config.corpus_remap : kIdentityRemap;
 
   uint64_t units_completed = 0;
+  std::vector<rdf::Triple> shard_facts;  // reused across hierarchy units
   const int timeout_ms =
       config.heartbeat_interval_ms > 0 ? config.heartbeat_interval_ms : -1;
   for (;;) {
@@ -85,36 +117,14 @@ Status RunWorkerLoop(int fd, const WorkerConfig& config) {
     const StatusOr<MessageKind> kind = PeekKind(payload);
     if (!kind.ok()) return kind.status();
     if (*kind == MessageKind::kShutdown) return Status::OK();
-    if (*kind != MessageKind::kWorkAssign &&
-        *kind != MessageKind::kWorkAssignRef) {
+    if (*kind != MessageKind::kWorkAssign) {
       return Status::Corruption("unexpected worker-bound message kind");
     }
-
     WorkAssignMsg assign;
-    if (*kind == MessageKind::kWorkAssignRef) {
-      WorkAssignRefMsg ref;
-      MIDAS_RETURN_IF_ERROR(DecodeWorkAssignRef(payload, *config.dict, &ref));
-      // A by-reference assignment is only executable against the exact
-      // dump the worker declared in Hello: a different or absent hash is a
-      // stale/misrouted assignment, and silently executing it would merge
-      // results from different record bytes.
-      if (config.corpus_reader == nullptr ||
-          ref.corpus_hash != config.corpus_reader->content_fingerprint()) {
-        return Status::Corruption(
-            "by-reference assignment names a corpus this worker does not "
-            "hold");
-      }
-      assign.unit = ref.unit;
-      assign.assignment = ref.assignment;
-      assign.consolidate = ref.consolidate;
-      assign.url = std::move(ref.url);
-      assign.child_slices = std::move(ref.child_slices);
-      MIDAS_RETURN_IF_ERROR(extract::CollectColumnarFacts(
-          *config.corpus_reader, corpus_remap, ref.threshold, ref.ranges,
-          ref.normalized, &assign.facts));
-    } else {
-      MIDAS_RETURN_IF_ERROR(DecodeWorkAssign(payload, *config.dict, &assign));
-    }
+    MIDAS_RETURN_IF_ERROR(DecodeWorkAssign(payload, dict, &assign));
+    core::SourceInput input;
+    MIDAS_RETURN_IF_ERROR(
+        ShardFacts(*config.corpus, assign, &shard_facts, &input.facts));
 
     // Machine-loss injection point: keyed by (url, assignment) so the
     // crash matrix can kill exactly the first execution of a unit and let
@@ -130,9 +140,7 @@ Status RunWorkerLoop(int fd, const WorkerConfig& config) {
     }
 #endif
 
-    core::SourceInput input;
     input.url = assign.url;
-    input.facts = &assign.facts;
     if (assign.consolidate) {
       for (const auto& cs : assign.child_slices) {
         input.seeds.push_back(cs.properties);
@@ -186,7 +194,7 @@ Status RunWorkerLoop(int fd, const WorkerConfig& config) {
             ? core::ConsolidateSlices(std::move(detected.slices),
                                       std::move(assign.child_slices))
             : std::move(detected.slices);
-    MIDAS_RETURN_IF_ERROR(channel.WriteFrame(EncodeWorkResult(result, *config.dict)));
+    MIDAS_RETURN_IF_ERROR(channel.WriteFrame(EncodeWorkResult(result, dict)));
     ++units_completed;
     MIDAS_OBS_ADD(UnitsCounter(), 1);
   }

@@ -2,27 +2,27 @@
 #define MIDAS_DIST_WORKER_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "midas/core/framework.h"
 #include "midas/core/slice_detector.h"
 #include "midas/dist/channel.h"
-#include "midas/rdf/dictionary.h"
 #include "midas/rdf/knowledge_base.h"
-#include "midas/store/columnar.h"
 #include "midas/util/status.h"
+#include "midas/web/web_source.h"
 
 namespace midas {
 namespace dist {
 
-/// Everything a worker process needs to execute WorkAssigns. The detector,
-/// KB, and dictionary must be built from the *same corpus and flags* as the
+/// Everything a worker process needs to execute WorkAssigns. The corpus,
+/// detector and KB must be built from the *same inputs and flags* as the
 /// coordinator's (a self-forked worker inherits them; an external worker
 /// reloads them) — the Hello fingerprint is how the coordinator checks.
 struct WorkerConfig {
+  /// The run's corpus: assignments name shards by index into its
+  /// sources(), and its dictionary decodes and encodes slice terms.
+  const web::Corpus* corpus = nullptr;
   const core::SliceDetector* detector = nullptr;
   const rdf::KnowledgeBase* kb = nullptr;
-  const rdf::Dictionary* dict = nullptr;
   /// Per-shard retry/deadline knobs; must match the coordinator's run so
   /// outcomes are bit-identical to in-process execution.
   core::ShardDetectOptions detect;
@@ -37,24 +37,16 @@ struct WorkerConfig {
   /// Transport of `fd`: kTcp connections get TCP_NODELAY and are the
   /// net_delay/net_drop/net_partition injection surface (channel.h).
   Transport transport = Transport::kUnix;
-  /// Open columnar dump for by-reference assignments (protocol v3). When
-  /// set, Hello announces its content hash and the worker accepts
-  /// WorkAssignRef frames, rebuilding each shard's facts from record
-  /// ranges via extract::CollectColumnarFacts instead of decoding inline
-  /// terms. Null = inline assignments only (the coordinator sees hash 0 in
-  /// Hello and falls back per-worker — mixed fleets keep working). The
-  /// reader must outlive the loop; its dictionary sections must already be
-  /// verified and adopted/interned into `dict` (see corpus_remap).
-  const store::ColumnarReader* corpus_reader = nullptr;
-  /// File-code -> TermId remap for corpus_reader against `dict` (from
-  /// extract::LoadColumnarTerms / LoadColumnarCorpusFromReader); null or
-  /// empty = identity (fresh-adopted dictionary).
-  const std::vector<rdf::TermId>* corpus_remap = nullptr;
 };
 
 /// Runs the worker side of the dist protocol on `fd` (a connected unix or
-/// TCP socket; ownership is taken) until Shutdown. Every WorkAssign runs
-/// through core::DetectShardWithRetry — the same per-shard path the
+/// TCP socket; ownership is taken) until Shutdown. Each WorkAssign's facts
+/// are rebuilt from the named corpus sources: hierarchy shards
+/// (consolidate) get the sorted, deduplicated union — exactly what the
+/// framework's normalization produces — and ablation shards name one
+/// source and use its fact list as is. An id out of range, or an ablation
+/// shard naming other than one source, ends the loop with Corruption. Every
+/// shard then runs through core::DetectShardWithRetry — the same per-shard path the
 /// in-process executor uses, which is what pins worker results bit-identical
 /// to a single-process run.
 ///

@@ -506,8 +506,7 @@ Status LoadCorpusParallel(store::ColumnarReader* reader,
 
 Status LoadColumnarCorpusFromReader(store::ColumnarReader* reader,
                                     const ColumnarLoadOptions& options,
-                                    web::Corpus* corpus,
-                                    std::vector<rdf::TermId>* remap_out) {
+                                    web::Corpus* corpus) {
   if (!reader->is_open()) {
     return Status::InvalidArgument("columnar reader is not open");
   }
@@ -517,7 +516,8 @@ Status LoadColumnarCorpusFromReader(store::ColumnarReader* reader,
   MIDAS_RETURN_IF_ERROR(reader->VerifySection(store::kSectionTerms));
   MIDAS_RETURN_IF_ERROR(reader->VerifySection(store::kSectionUrls));
   MIDAS_RETURN_IF_ERROR(reader->VerifySection(store::kSectionUrlCode));
-  std::vector<rdf::TermId> remap = LoadTerms(*reader, corpus->mutable_dict());
+  const std::vector<rdf::TermId> remap =
+      LoadTerms(*reader, corpus->mutable_dict());
   const std::vector<std::string> urls = NormalizedUrls(*reader);
   uint32_t num_canon = 0;
   const std::vector<uint32_t> canon = BuildCanonMap(urls, &num_canon);
@@ -534,7 +534,6 @@ Status LoadColumnarCorpusFromReader(store::ColumnarReader* reader,
     LoadCorpusSerial(*reader, remap, urls, canon, contiguous,
                      options.threshold, corpus);
   }
-  if (remap_out != nullptr) *remap_out = std::move(remap);
   return Status::OK();
 }
 
@@ -547,7 +546,7 @@ Status LoadColumnarCorpus(const std::string& path, double threshold,
   options.threshold = threshold;
   options.dict = std::move(dict);
   MIDAS_RETURN_IF_ERROR(
-      LoadColumnarCorpusFromReader(&reader, options, corpus, nullptr));
+      LoadColumnarCorpusFromReader(&reader, options, corpus));
   if (fingerprint != nullptr) *fingerprint = reader.content_fingerprint();
   return Status::OK();
 }
@@ -630,97 +629,6 @@ Status LoadColumnarCorpusSubset(store::ColumnarReader* reader,
           static_cast<size_t>(source),
           rdf::Triple(resolve(subjects[i]), resolve(predicates[i]),
                       resolve(objects[i])));
-    }
-  }
-  return Status::OK();
-}
-
-Status LoadColumnarTerms(store::ColumnarReader* reader, rdf::Dictionary* dict,
-                         std::vector<rdf::TermId>* remap_out) {
-  if (!reader->is_open()) {
-    return Status::InvalidArgument("columnar reader is not open");
-  }
-  MIDAS_RETURN_IF_ERROR(reader->VerifySection(store::kSectionTerms));
-  std::vector<rdf::TermId> remap = LoadTerms(*reader, dict);
-  if (remap_out != nullptr) *remap_out = std::move(remap);
-  return Status::OK();
-}
-
-Status CollectColumnarFacts(const store::ColumnarReader& reader,
-                            const std::vector<rdf::TermId>& remap,
-                            double threshold,
-                            const std::vector<store::RecordRange>& ranges,
-                            bool sorted, std::vector<rdf::Triple>* out) {
-  out->clear();
-  const uint64_t n = reader.num_records();
-  std::vector<store::RecordRange> ordered = ranges;
-  uint64_t total = 0;
-  for (const store::RecordRange& range : ordered) {
-    if (range.first > range.last || range.last > n) {
-      return Status::InvalidArgument("record range out of bounds");
-    }
-    total += range.last - range.first;
-  }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const store::RecordRange& a, const store::RecordRange& b) {
-              return a.first < b.first;
-            });
-  const double* conf = reader.confidences();
-  const uint32_t* subjects = reader.subjects();
-  const uint32_t* predicates = reader.predicates();
-  const uint32_t* objects = reader.objects();
-  FactDedup dedup(total);
-  for (const store::RecordRange& range : ordered) {
-    MIDAS_RETURN_IF_ERROR(reader.VerifyRecordCodes(range.first, range.last));
-    for (uint64_t i = range.first; i < range.last; ++i) {
-      if (!(conf[i] > threshold)) continue;
-      if (!dedup.Insert(subjects[i],
-                        (static_cast<uint64_t>(predicates[i]) << 32) |
-                            objects[i])) {
-        continue;
-      }
-      if (remap.empty()) {
-        out->emplace_back(subjects[i], predicates[i], objects[i]);
-      } else {
-        out->emplace_back(remap[subjects[i]], remap[predicates[i]],
-                          remap[objects[i]]);
-      }
-    }
-  }
-  if (sorted) std::sort(out->begin(), out->end());
-  return Status::OK();
-}
-
-Status BuildSourceRangeCatalog(store::ColumnarReader* reader,
-                               const web::Corpus& corpus,
-                               SourceRangeCatalog* out) {
-  if (!reader->has_source_index()) {
-    return Status::InvalidArgument(
-        "columnar file has no source-range index (midas convert --reindex "
-        "adds one)");
-  }
-  MIDAS_RETURN_IF_ERROR(reader->VerifySection(store::kSectionUrls));
-  const std::vector<web::WebSource>& sources = corpus.sources();
-  std::unordered_map<std::string_view, size_t> by_url;
-  by_url.reserve(sources.size());
-  for (size_t i = 0; i < sources.size(); ++i) {
-    by_url.emplace(sources[i].url, i);
-  }
-  out->assign(sources.size(), {});
-  for (uint64_t r = 0; r < reader->num_source_runs(); ++r) {
-    const store::ColumnarSourceRun& run = reader->source_runs()[r];
-    const std::string url = web::NormalizeUrl(reader->url(run.url_code));
-    const auto it = by_url.find(url);
-    // A missing source is one whose every fact fell below the load
-    // threshold — it has records but no corpus entry.
-    if (it == by_url.end()) continue;
-    (*out)[it->second].push_back(store::RecordRange{run.first, run.last});
-  }
-  for (size_t i = 0; i < sources.size(); ++i) {
-    if ((*out)[i].empty()) {
-      return Status::InvalidArgument(
-          "corpus source has no records in the columnar file: " +
-          sources[i].url);
     }
   }
   return Status::OK();

@@ -59,8 +59,7 @@ struct ColumnarLoadOptions {
   double threshold = 0.0;
   /// Seeds the corpus dictionary; null means a fresh one, in which case the
   /// file's code arrays are adopted verbatim as TermIds — every process
-  /// that fresh-loads the same file agrees on ids, which is what makes
-  /// by-reference shard dispatch possible.
+  /// that fresh-loads the same file agrees on ids.
   std::shared_ptr<rdf::Dictionary> dict;
   /// Worker threads for the full load (LoadColumnarCorpusFromReader). 0/1 =
   /// serial. >1 decodes source runs in parallel on a ThreadPool and merges
@@ -73,13 +72,11 @@ struct ColumnarLoadOptions {
 /// LoadColumnarCorpus over an already-open reader. Honors a lazily-verified
 /// reader: section CRCs and record-code bounds are settled here (memoized,
 /// parallelized across threads when num_threads > 1) before any payload is
-/// trusted. `remap_out`, when non-null, receives the file-code -> TermId
-/// remap (empty = identity) for later CollectColumnarFacts calls against
-/// the same reader and dictionary.
+/// trusted. The corpus owns copies of every term, so the reader may close
+/// once this returns.
 Status LoadColumnarCorpusFromReader(store::ColumnarReader* reader,
                                     const ColumnarLoadOptions& options,
-                                    web::Corpus* corpus,
-                                    std::vector<rdf::TermId>* remap_out);
+                                    web::Corpus* corpus);
 
 /// Materializes only the sources of `url_codes` (file url-dictionary codes,
 /// any order, duplicates ignored): record columns are touched only inside
@@ -96,49 +93,11 @@ Status LoadColumnarCorpusFromReader(store::ColumnarReader* reader,
 /// (selected sources appear in record order); with a fresh dictionary the
 /// TermIds land in first-use order instead (same term strings). Codes
 /// whose URLs normalize equal share a source either way; select canon
-/// groups together (BuildSourceRangeCatalog does) to match a filtered full
-/// load exactly.
+/// groups together to match a filtered full load exactly.
 Status LoadColumnarCorpusSubset(store::ColumnarReader* reader,
                                 const std::vector<uint32_t>& url_codes,
                                 const ColumnarLoadOptions& options,
                                 web::Corpus* corpus);
-
-/// Adopts/interns the file's term dictionary into `dict` and returns the
-/// file-code -> TermId remap (empty = identity; see ColumnarLoadOptions::
-/// dict). Verifies the terms section first on a lazy reader. This is the
-/// dictionary half of a corpus load, exposed for workers that execute
-/// by-reference shards without materializing any corpus.
-Status LoadColumnarTerms(store::ColumnarReader* reader, rdf::Dictionary* dict,
-                         std::vector<rdf::TermId>* remap_out);
-
-/// Rebuilds a shard's fact vector from record ranges of a columnar file —
-/// the worker side of WorkAssignRef. Ranges are processed in ascending
-/// record order with exact global (subject, predicate, object) dedup;
-/// survivors (confidence > threshold, remapped through `remap` unless
-/// empty) are appended in record order, then sorted iff `sorted`. With
-/// `sorted` this equals the framework's NormalizeShardFacts over the union
-/// of the ranges' per-source fact lists; without it, it equals one
-/// source's corpus fact list (per-source dedup in record order). Ranges
-/// are validated against num_records and their codes bounds-checked, so a
-/// hostile assignment fails cleanly instead of reading out of bounds.
-Status CollectColumnarFacts(const store::ColumnarReader& reader,
-                            const std::vector<rdf::TermId>& remap,
-                            double threshold,
-                            const std::vector<store::RecordRange>& ranges,
-                            bool sorted, std::vector<rdf::Triple>* out);
-
-/// Per corpus-source record ranges, indexed like corpus.sources().
-using SourceRangeCatalog = std::vector<std::vector<store::RecordRange>>;
-
-/// Maps every source of `corpus` (previously loaded from `reader`'s file)
-/// to its record ranges via the source-range index — the coordinator side
-/// of WorkAssignRef. A source whose URL several file codes normalize to
-/// gets all their runs, in record order. Requires the index; fails if a
-/// corpus source has no records in the file (the corpus was not loaded
-/// from it).
-Status BuildSourceRangeCatalog(store::ColumnarReader* reader,
-                               const web::Corpus& corpus,
-                               SourceRangeCatalog* out);
 
 }  // namespace extract
 }  // namespace midas

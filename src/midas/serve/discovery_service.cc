@@ -8,7 +8,6 @@
 #include "midas/baselines/methods.h"
 #include "midas/core/midas.h"
 #include "midas/obs/export.h"
-#include "midas/util/hash.h"
 #include "midas/util/string_util.h"
 
 namespace midas {
@@ -68,25 +67,6 @@ std::string CanonicalOptions(const DiscoverOptions& options) {
                       options.method.c_str(), options.cost.f_p,
                       options.cost.f_c, options.cost.f_d, options.cost.f_v,
                       static_cast<long long>(options.top_k));
-}
-
-/// Binds the memo to the detector identity: same corpus + same fingerprint
-/// context => the detector would produce identical output. KB size is a
-/// cheap stand-in for KB content — the daemon never mutates the KB, so it
-/// only guards against constructing the service with a different KB.
-uint64_t MemoContext(const DiscoverOptions& options, size_t kb_size) {
-  uint64_t h = Fnv1a64(options.method);
-  const auto fold_double = [&h](double v) {
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    __builtin_memcpy(&bits, &v, sizeof(bits));
-    h = HashCombine(h, bits);
-  };
-  fold_double(options.cost.f_p);
-  fold_double(options.cost.f_c);
-  fold_double(options.cost.f_d);
-  fold_double(options.cost.f_v);
-  return HashCombine(h, kb_size);
 }
 
 /// Strips the query string: "/discover?x=1" routes as "/discover".
@@ -188,7 +168,8 @@ HttpResponse DiscoveryService::HandleDiscover(const HttpRequest& request,
   framework_options.use_hierarchy_rounds = method.hierarchy_rounds;
   framework_options.cancel = effective;
   framework_options.memo = &memo_;
-  framework_options.memo_context = MemoContext(opts, kb_.size());
+  framework_options.detector_context = baselines::DetectorContext(
+      opts.method, opts.cost, /*ranges=*/false, kb_);
   core::MidasFramework framework(detector.get(), framework_options);
   const core::FrameworkResult result = framework.Run(corpus_, kb_);
 

@@ -67,18 +67,6 @@ struct ColumnarSourceRun {
   uint64_t last = 0;   // one past the last record of the run
 };
 
-/// Half-open record interval [first, last) in a columnar file's record
-/// columns — the unit of by-reference work: source-range catalogs and
-/// WorkAssignRef frames are lists of these.
-struct RecordRange {
-  uint64_t first = 0;
-  uint64_t last = 0;
-
-  bool operator==(const RecordRange& other) const {
-    return first == other.first && last == other.last;
-  }
-};
-
 /// Streaming writer. Records are appended one at a time; bounded in-memory
 /// column buffers spill to per-column temp files, so RAM usage is O(buffer
 /// + dictionaries), never O(records) — the macro-scale corpus generator

@@ -48,7 +48,7 @@ class FrameworkMemoTest : public ::testing::Test {
     FrameworkOptions fw;
     fw.use_hierarchy_rounds = hierarchy;
     fw.memo = memo;
-    fw.memo_context = context;
+    fw.detector_context = context;
     MidasFramework framework(alg_.get(), fw);
     return framework.Run(corpus_, kb_);
   }
@@ -168,7 +168,7 @@ TEST_F(FrameworkMemoTest, AblationModeMemoizesPerSource) {
 TEST_F(FrameworkMemoTest, FailedSourcesAreNotMemoized) {
   tests::ThrowingDetector thrower(options_, "sec1");
   FrameworkOptions fw;
-  fw.memo_context = 7;
+  fw.detector_context = 7;
   fw.max_retries = 0;
   DetectionMemo memo;
   fw.memo = &memo;

@@ -3,8 +3,8 @@
 // slices, profits (exact bit patterns), and per-source reports identical
 // to the in-process framework on the same seed — in hierarchy mode, in the
 // per-source ablation, and under an injected flaky detector. Also pins
-// worker fingerprint rejection, idle heartbeats, and Start()'s argument
-// validation.
+// worker fingerprint and protocol rejection, idle heartbeats, Start()'s
+// wait for self-forked Hellos, and its argument validation.
 
 #include "midas/dist/coordinator.h"
 
@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -38,6 +39,36 @@ core::FrameworkOptions BaseOptions(bool hierarchy = true) {
   fw.use_hierarchy_rounds = hierarchy;
   fw.run_seed = 17;
   return fw;
+}
+
+/// Connects to a coordinator's unix socket, retrying while it binds.
+int ConnectUnix(const std::string& sock_path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  struct sockaddr_un addr = {};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, sock_path.c_str(), sizeof(addr.sun_path) - 1);
+  for (int i = 0; i < 100; ++i) {
+    if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                  sizeof(addr)) == 0) {
+      return fd;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ADD_FAILURE() << "could not connect to " << sock_path;
+  return fd;
+}
+
+/// A worker that says Hello with `fingerprint` and then holds the
+/// connection until the coordinator releases it.
+void GenuineWorker(const std::string& sock_path, uint64_t fingerprint) {
+  FrameChannel channel(ConnectUnix(sock_path), "genuine");
+  ASSERT_TRUE(channel.SendMagic().ok());
+  HelloMsg hello;
+  hello.fingerprint = fingerprint;
+  ASSERT_TRUE(channel.WriteFrame(EncodeHello(hello)).ok());
+  std::string payload, error;
+  (void)channel.WaitForFrame(10'000, &payload, &error);  // Shutdown/EOF
 }
 
 class DistExecutorTest : public ::testing::Test {
@@ -185,29 +216,10 @@ TEST_F(DistExecutorTest, FingerprintMismatchRejectsWorker) {
   dopts.fingerprint = 0xfeedface;
   DistCoordinator coordinator(&dict, dopts);
 
-  const auto connect_client = [&sock_path]() {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    EXPECT_GE(fd, 0);
-    struct sockaddr_un addr = {};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, sock_path.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    // The coordinator may not have bound yet; retry briefly.
-    for (int i = 0; i < 100; ++i) {
-      if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                    sizeof(addr)) == 0) {
-        return fd;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    ADD_FAILURE() << "could not connect to " << sock_path;
-    return fd;
-  };
-
   std::thread clients([&] {
     // Impostor first.
     {
-      FrameChannel channel(connect_client(), "impostor");
+      FrameChannel channel(ConnectUnix(sock_path), "impostor");
       ASSERT_TRUE(channel.SendMagic().ok());
       HelloMsg hello;
       hello.fingerprint = 0xbad;
@@ -223,13 +235,7 @@ TEST_F(DistExecutorTest, FingerprintMismatchRejectsWorker) {
       }
     }
     // Then the genuine worker; hold the connection until released.
-    FrameChannel channel(connect_client(), "genuine");
-    ASSERT_TRUE(channel.SendMagic().ok());
-    HelloMsg hello;
-    hello.fingerprint = 0xfeedface;
-    ASSERT_TRUE(channel.WriteFrame(EncodeHello(hello)).ok());
-    std::string payload, error;
-    (void)channel.WaitForFrame(10'000, &payload, &error);  // Shutdown/EOF
+    GenuineWorker(sock_path, 0xfeedface);
   });
 
   const Status status = coordinator.Start();
@@ -238,6 +244,80 @@ TEST_F(DistExecutorTest, FingerprintMismatchRejectsWorker) {
   EXPECT_EQ(coordinator.live_workers(), 1u);
   coordinator.Shutdown();
   clients.join();
+}
+
+// A peer from before v4 announces protocol 3 with a longer Hello body. It
+// is rejected by its version (named in the log), not lost as a corrupt
+// stream; a current worker then satisfies min_workers.
+TEST_F(DistExecutorTest, OlderProtocolPeerIsRejectedByVersion) {
+  const std::string sock_path = midas::tests::TestDir() + "/v3.sock";
+  rdf::Dictionary dict;
+  DistOptions dopts;
+  dopts.listen_path = sock_path;
+  dopts.min_workers = 1;
+  dopts.accept_timeout_ms = 10'000;
+  dopts.fingerprint = 0xfeedface;
+  DistCoordinator coordinator(&dict, dopts);
+
+  std::thread clients([&] {
+    {
+      FrameChannel channel(ConnectUnix(sock_path), "v3-peer");
+      ASSERT_TRUE(channel.SendMagic().ok());
+      // v3 Hello: 'h' protocol:u32 fingerprint:u64 corpus_hash:u64.
+      std::string hello(1, 'h');
+      const auto append_le = [&hello](uint64_t v, int bytes) {
+        for (int i = 0; i < bytes; ++i) {
+          hello.push_back(static_cast<char>(v >> (8 * i)));
+        }
+      };
+      append_le(3, 4);
+      append_le(0xfeedface, 8);
+      append_le(0x1234, 8);
+      ASSERT_TRUE(channel.WriteFrame(hello).ok());
+      std::string payload, error;
+      (void)channel.WaitForFrame(5000, &payload, &error);  // Shutdown/EOF
+    }
+    GenuineWorker(sock_path, 0xfeedface);
+  });
+
+  ::testing::internal::CaptureStderr();
+  const Status status = coordinator.Start();
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(coordinator.stats().rejected_workers, 1u);
+  EXPECT_EQ(coordinator.stats().worker_losses, 0u);
+  EXPECT_NE(log.find("protocol 3"), std::string::npos) << log;
+  coordinator.Shutdown();
+  clients.join();
+}
+
+// Self-fork mode: Start() returns only once every forked worker has said
+// Hello, so the first round can schedule each of them.
+TEST_F(DistExecutorTest, SelfForkStartWaitsForEveryHello) {
+  DistHarness harness;
+  const uint64_t fingerprint =
+      core::ComputeRunFingerprint(harness.corpus(), BaseOptions());
+  DistOptions dopts;
+  dopts.num_workers = 2;
+  dopts.fingerprint = fingerprint;
+  DistHarness* h = &harness;
+  dopts.worker_main = [h, fingerprint](int fd) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    WorkerConfig config;
+    config.corpus = &h->corpus();
+    config.detector = h->alg();
+    config.kb = &h->kb();
+    config.fingerprint = fingerprint;
+    config.heartbeat_interval_ms = 0;
+    (void)RunWorkerLoop(fd, config);
+  };
+  DistCoordinator coordinator(harness.dict(), std::move(dopts));
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(coordinator.Start().ok());
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(300));
+  EXPECT_EQ(coordinator.live_workers(), 2u);
+  coordinator.Shutdown();
 }
 
 }  // namespace

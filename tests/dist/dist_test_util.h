@@ -147,9 +147,9 @@ class DistHarness {
     if (!dopts.worker_main) {
       dopts.worker_main = [this, detect, fingerprint, heartbeat_ms](int fd) {
         WorkerConfig config;
+        config.corpus = &corpus_;
         config.detector = alg_.get();
         config.kb = &kb_;
-        config.dict = dict_.get();
         config.detect = detect;
         config.fingerprint = fingerprint;
         config.heartbeat_interval_ms = heartbeat_ms;

@@ -69,9 +69,9 @@ struct TcpCluster {
         ConnectTcp("127.0.0.1:" + std::to_string(port), 5000);
     if (!fd.ok()) ::_exit(3);
     WorkerConfig config;
+    config.corpus = &harness->corpus();
     config.detector = harness->alg();
     config.kb = &harness->kb();
-    config.dict = harness->dict();
     config.detect = detect;
     config.fingerprint = fingerprint;
     config.heartbeat_interval_ms = heartbeat_ms;

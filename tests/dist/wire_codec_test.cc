@@ -1,8 +1,8 @@
-// Protocol fuzz suite for the dist wire codec (ISSUE 8 satellite): exact
-// roundtrips for every message kind (profit as bit patterns included),
-// truncation at EVERY byte offset, single-bit flips over every encoded
-// byte, implausible length fields (must fail fast, not allocate), unknown
-// dictionary terms, and trailing-byte rejection.
+// Protocol fuzz suite for the dist wire codec: exact roundtrips for every
+// message kind (profit as bit patterns included), truncation at EVERY byte
+// offset, single-bit flips over every encoded byte, implausible length
+// fields (must fail fast, not allocate), unknown dictionary terms,
+// trailing-byte rejection, and Hellos from other protocol versions.
 
 #include "midas/dist/wire.h"
 
@@ -68,7 +68,7 @@ class WireCodecTest : public ::testing::Test {
     msg.assignment = 2;
     msg.consolidate = true;
     msg.url = "http://a.com/sec0";
-    msg.facts = {rdf::Triple(s0_, p0_, o0_), rdf::Triple(s1_, p0_, o1_)};
+    msg.source_ids = {4, 1, 0xfffffffeu};
     msg.child_slices = {MakeSlice(1.25), MakeSlice(-3.5e-12)};
     return msg;
   }
@@ -113,41 +113,7 @@ class WireCodecTest : public ::testing::Test {
     std::string out = std::to_string(m.unit) + "|" +
                       std::to_string(m.assignment) + "|" +
                       std::to_string(m.consolidate) + "|" + m.url;
-    for (const auto& f : m.facts) {
-      out += "|t" + std::to_string(f.subject) + "," +
-             std::to_string(f.predicate) + "," + std::to_string(f.object);
-    }
-    return out + "#" + DescribeSlices(m.child_slices);
-  }
-
-  WorkAssignRefMsg MakeRef() const {
-    WorkAssignRefMsg msg;
-    msg.unit = 11;
-    msg.assignment = 3;
-    msg.consolidate = true;
-    msg.normalized = true;
-    msg.url = "http://a.com";
-    msg.corpus_hash = 0x1122334455667788ULL;
-    // A threshold whose decimal rendering would lose bits: the codec must
-    // carry the exact IEEE-754 pattern.
-    msg.threshold = 0.1 + 0.2;
-    msg.ranges = {{0, 17}, {17, 17}, {40, 1000000007}};
-    msg.child_slices = {MakeSlice(2.5), MakeSlice(-1.0e-300)};
-    return msg;
-  }
-
-  static std::string DescribeRef(const WorkAssignRefMsg& m) {
-    uint64_t threshold_bits = 0;
-    std::memcpy(&threshold_bits, &m.threshold, sizeof(threshold_bits));
-    std::string out = std::to_string(m.unit) + "|" +
-                      std::to_string(m.assignment) + "|" +
-                      std::to_string(m.consolidate) + "|" +
-                      std::to_string(m.normalized) + "|" + m.url + "|" +
-                      std::to_string(m.corpus_hash) + "|" +
-                      std::to_string(threshold_bits);
-    for (const auto& r : m.ranges) {
-      out += "|r" + std::to_string(r.first) + "," + std::to_string(r.last);
-    }
+    for (const uint32_t id : m.source_ids) out += "|s" + std::to_string(id);
     return out + "#" + DescribeSlices(m.child_slices);
   }
 
@@ -206,107 +172,54 @@ TEST_F(WireCodecTest, HeartbeatAndShutdownRoundtrip) {
   EXPECT_TRUE(DecodeShutdown(quit).ok());
 }
 
-TEST_F(WireCodecTest, HelloCarriesCorpusHashSinceV3) {
-  HelloMsg in;
-  in.fingerprint = 0xfeedfacef00dULL;
-  in.corpus_hash = 0xabcdef0123456789ULL;
-  const std::string v3 = EncodeHello(in);
+// A Hello from another protocol version decodes to its version alone, so
+// the coordinator's handshake rejects the peer by number: v3 carried a
+// corpus hash after the fingerprint, v2 did not, and neither body is this
+// version's to parse.
+TEST_F(WireCodecTest, HelloFromOtherProtocolDecodesVersionOnly) {
+  std::string v3(1, 'h');
+  AppendU32(&v3, 3);
+  AppendU64(&v3, 0xfeedfacef00dULL);
+  AppendU64(&v3, 0xabcdef0123456789ULL);  // v3's corpus hash
   HelloMsg out;
   ASSERT_TRUE(DecodeHello(v3, &out).ok());
-  EXPECT_EQ(out.corpus_hash, in.corpus_hash);
+  EXPECT_EQ(out.protocol, 3u);
+  EXPECT_EQ(out.fingerprint, 0u);
 
-  // A v2 sender's Hello has no corpus_hash field; it must decode (the
-  // handshake rejects the version, not the bytes) with corpus_hash 0.
-  HelloMsg v2_in = in;
-  v2_in.protocol = 2;
-  const std::string v2 = EncodeHello(v2_in);
-  EXPECT_EQ(v2.size() + 8, v3.size());
-  HelloMsg v2_out;
-  ASSERT_TRUE(DecodeHello(v2, &v2_out).ok());
-  EXPECT_EQ(v2_out.protocol, 2u);
-  EXPECT_EQ(v2_out.fingerprint, in.fingerprint);
-  EXPECT_EQ(v2_out.corpus_hash, 0u);
+  std::string v2(1, 'h');
+  AppendU32(&v2, 2);
+  AppendU64(&v2, 0xfeedfacef00dULL);
+  ASSERT_TRUE(DecodeHello(v2, &out).ok());
+  EXPECT_EQ(out.protocol, 2u);
+
+  // This version's Hello is exactly kind + protocol + fingerprint.
+  EXPECT_EQ(EncodeHello(HelloMsg{}).size(), 13u);
 }
 
-TEST_F(WireCodecTest, WorkAssignRefRoundtrip) {
-  const WorkAssignRefMsg in = MakeRef();
-  const std::string payload = EncodeWorkAssignRef(in, dict_);
-  EXPECT_EQ(*PeekKind(payload), MessageKind::kWorkAssignRef);
-  WorkAssignRefMsg out;
-  ASSERT_TRUE(DecodeWorkAssignRef(payload, dict_, &out).ok());
-  EXPECT_EQ(DescribeRef(out), DescribeRef(in));
-
-  // Empty ranges and all-false flags are valid on the wire (the coordinator
-  // never sends them, but the codec is total over its struct).
-  WorkAssignRefMsg bare;
+// The codec is total over its struct: no source ids, no child slices and a
+// false flag roundtrip too (the worker, not the codec, rejects an ablation
+// assignment without exactly one source).
+TEST_F(WireCodecTest, WorkAssignBareRoundtrip) {
+  WorkAssignMsg bare;
   bare.url = "http://b.com";
-  const std::string bare_payload = EncodeWorkAssignRef(bare, dict_);
-  WorkAssignRefMsg bare_out;
-  ASSERT_TRUE(DecodeWorkAssignRef(bare_payload, dict_, &bare_out).ok());
-  EXPECT_EQ(DescribeRef(bare_out), DescribeRef(bare));
+  const std::string payload = EncodeWorkAssign(bare, dict_);
+  WorkAssignMsg out;
+  ASSERT_TRUE(DecodeWorkAssign(payload, dict_, &out).ok());
+  EXPECT_EQ(DescribeAssign(out), DescribeAssign(bare));
 }
 
-TEST_F(WireCodecTest, WorkAssignRefTruncationAtEveryByteOffsetFails) {
-  const std::string payload = EncodeWorkAssignRef(MakeRef(), dict_);
-  for (size_t len = 0; len < payload.size(); ++len) {
-    WorkAssignRefMsg out;
-    EXPECT_FALSE(DecodeWorkAssignRef(payload.substr(0, len), dict_, &out).ok())
-        << "WorkAssignRef truncated to " << len << " of " << payload.size();
-  }
-  WorkAssignRefMsg out;
-  EXPECT_FALSE(DecodeWorkAssignRef(payload + "x", dict_, &out).ok());
-}
-
-TEST_F(WireCodecTest, WorkAssignRefSingleBitFlipsNeverDecodeEqual) {
-  const WorkAssignRefMsg in = MakeRef();
-  const std::string payload = EncodeWorkAssignRef(in, dict_);
-  const std::string digest = DescribeRef(in);
-  for (size_t i = 0; i < payload.size(); ++i) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::string flipped = payload;
-      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
-      WorkAssignRefMsg out;
-      if (DecodeWorkAssignRef(flipped, dict_, &out).ok()) {
-        EXPECT_NE(DescribeRef(out), digest)
-            << "flip byte " << i << " bit " << bit;
-      }
-    }
-  }
-}
-
-TEST_F(WireCodecTest, WorkAssignRefImplausibleRangeCountFailsFast) {
-  // kind 'A', unit, assignment, flags, url, corpus hash, threshold, then a
-  // range count claiming gigabytes with no range bytes behind it.
-  std::string payload(1, 'A');
-  AppendU64(&payload, 1);
-  AppendU32(&payload, 1);
-  payload.push_back(1);
-  payload.push_back(1);
-  AppendStr(&payload, "http://a.com");
-  AppendU64(&payload, 0x1111);
-  AppendU64(&payload, 0);
-  AppendU32(&payload, 0x20000000u);
-  WorkAssignRefMsg out;
-  EXPECT_FALSE(DecodeWorkAssignRef(payload, dict_, &out).ok());
-  EXPECT_TRUE(out.ranges.empty());
-}
-
-TEST_F(WireCodecTest, WorkAssignRefRejectsInvertedRangeAndBadFlags) {
-  WorkAssignRefMsg in = MakeRef();
-  in.ranges = {{100, 7}};  // inverted: first > last
-  const std::string inverted = EncodeWorkAssignRef(in, dict_);
-  WorkAssignRefMsg out;
-  EXPECT_FALSE(DecodeWorkAssignRef(inverted, dict_, &out).ok());
-
-  // Byte layout: kind(1) + unit(8) + assignment(4), then consolidate and
-  // normalized flag bytes — any value but 0/1 is corruption.
-  std::string payload = EncodeWorkAssignRef(MakeRef(), dict_);
-  std::string bad = payload;
-  bad[13] = 2;
-  EXPECT_FALSE(DecodeWorkAssignRef(bad, dict_, &out).ok());
-  bad = payload;
-  bad[14] = static_cast<char>(0xff);
-  EXPECT_FALSE(DecodeWorkAssignRef(bad, dict_, &out).ok());
+// A source count that overstates the ids present by one is plausible
+// against the remaining bytes, so it passes the up-front check — and must
+// then fail cleanly when the slice blob is read as ids.
+TEST_F(WireCodecTest, WorkAssignOverstatedSourceCountFails) {
+  const WorkAssignMsg in = MakeAssign();
+  std::string payload = EncodeWorkAssign(in, dict_);
+  // kind(1) + unit(8) + assignment(4) + consolidate(1) + url(4 + len).
+  const size_t count_at = 14 + 4 + in.url.size();
+  ASSERT_EQ(static_cast<uint8_t>(payload[count_at]), in.source_ids.size());
+  payload[count_at] = static_cast<char>(in.source_ids.size() + 1);
+  WorkAssignMsg out;
+  EXPECT_FALSE(DecodeWorkAssign(payload, dict_, &out).ok());
 }
 
 TEST_F(WireCodecTest, PeekKindRejectsEmptyAndUnknown) {
@@ -329,13 +242,16 @@ TEST_F(WireCodecTest, DecodersRejectWrongKind) {
 // Every strict prefix of a valid payload must fail decoding — the decoders
 // consume the full structure and check nothing is left over, so there is
 // no offset at which a truncation silently parses.
-TEST_F(WireCodecTest, TruncationAtEveryByteOffsetFails) {
+TEST_F(WireCodecTest, WorkAssignTruncationAtEveryByteOffsetFails) {
   const std::string assign = EncodeWorkAssign(MakeAssign(), dict_);
   for (size_t len = 0; len < assign.size(); ++len) {
     WorkAssignMsg out;
     EXPECT_FALSE(DecodeWorkAssign(assign.substr(0, len), dict_, &out).ok())
         << "WorkAssign truncated to " << len << " of " << assign.size();
   }
+}
+
+TEST_F(WireCodecTest, TruncationAtEveryByteOffsetFails) {
   const std::string result = EncodeWorkResult(MakeResult(), dict_);
   for (size_t len = 0; len < result.size(); ++len) {
     WorkResultMsg out;
@@ -372,7 +288,7 @@ TEST_F(WireCodecTest, TrailingBytesRejected) {
 // Flip every bit of every byte: the decode must either fail or yield a
 // message observably different from the original. No flip may decode to an
 // equal message — every encoded byte is semantic.
-TEST_F(WireCodecTest, SingleBitFlipsNeverDecodeEqual) {
+TEST_F(WireCodecTest, WorkAssignSingleBitFlipsNeverDecodeEqual) {
   const WorkAssignMsg assign_in = MakeAssign();
   const std::string assign = EncodeWorkAssign(assign_in, dict_);
   const std::string assign_digest = DescribeAssign(assign_in);
@@ -387,6 +303,9 @@ TEST_F(WireCodecTest, SingleBitFlipsNeverDecodeEqual) {
       }
     }
   }
+}
+
+TEST_F(WireCodecTest, SingleBitFlipsNeverDecodeEqual) {
   const WorkResultMsg result_in = MakeResult();
   const std::string result = EncodeWorkResult(result_in, dict_);
   const std::string result_digest = DescribeResult(result_in);
@@ -406,8 +325,8 @@ TEST_F(WireCodecTest, SingleBitFlipsNeverDecodeEqual) {
 // A length field claiming more elements than the payload could possibly
 // hold must be rejected up front — before any resize tries to honor it.
 TEST_F(WireCodecTest, ImplausibleCountsFailFastWithoutAllocating) {
-  // kind 'a', unit, assignment, consolidate, url, then an absurd fact count
-  // with no fact bytes behind it.
+  // kind 'a', unit, assignment, consolidate, url, then a source-id count
+  // claiming gigabytes with no id bytes behind it.
   std::string payload(1, 'a');
   AppendU64(&payload, 1);
   AppendU32(&payload, 1);
@@ -416,7 +335,7 @@ TEST_F(WireCodecTest, ImplausibleCountsFailFastWithoutAllocating) {
   AppendU32(&payload, 0x40000000u);
   WorkAssignMsg out;
   EXPECT_FALSE(DecodeWorkAssign(payload, dict_, &out).ok());
-  EXPECT_TRUE(out.facts.empty());
+  EXPECT_TRUE(out.source_ids.empty());
 
   // A string length near u32 max inside Hello-sized data.
   std::string result(1, 'r');
@@ -447,8 +366,8 @@ TEST_F(WireCodecTest, WorkAssignRejectsNonBooleanConsolidate) {
   EXPECT_FALSE(DecodeWorkAssign(payload, dict_, &out).ok());
 }
 
-// Terms travel as strings; a payload naming a term the receiving dictionary
-// never interned means the two sides loaded different corpora.
+// Slice terms travel as strings; a payload naming a term the receiving
+// dictionary never interned means the two sides loaded different corpora.
 TEST_F(WireCodecTest, UnknownDictionaryTermIsCorruption) {
   const std::string assign = EncodeWorkAssign(MakeAssign(), dict_);
   const std::string result = EncodeWorkResult(MakeResult(), dict_);

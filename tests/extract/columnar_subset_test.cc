@@ -1,9 +1,7 @@
 // Subset and parallel columnar loads against the full serial load: a
 // subset materialization of selected sources must equal filtering a full
-// load to those sources (same TermIds, same fact order), a multi-threaded
-// load must be bit-identical to the serial one, and CollectColumnarFacts
-// (the worker side of by-reference dispatch) must reproduce exactly the
-// fact vectors the in-process framework builds from a corpus.
+// load to those sources (same TermIds, same fact order), and a
+// multi-threaded load must be bit-identical to the serial one.
 
 #include <gtest/gtest.h>
 
@@ -94,6 +92,15 @@ class ColumnarSubsetTest : public ::testing::Test {
     }
   }
 
+  static void ExpectDictionariesEqual(const rdf::Dictionary& a,
+                                      const rdf::Dictionary& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t id = 0; id < a.size(); ++id) {
+      EXPECT_EQ(a.Term(static_cast<rdf::TermId>(id)),
+                b.Term(static_cast<rdf::TermId>(id)));
+    }
+  }
+
   std::string col_path_;
 };
 
@@ -107,14 +114,12 @@ TEST_F(ColumnarSubsetTest, SubsetMatchesFilteredFullLoad) {
     ColumnarLoadOptions options;
     options.threshold = threshold;
     web::Corpus full;
-    std::vector<rdf::TermId> remap;
-    ASSERT_TRUE(
-        LoadColumnarCorpusFromReader(&reader, options, &full, &remap).ok());
-    EXPECT_TRUE(remap.empty());  // fresh dictionary: codes adopted verbatim
+    ASSERT_TRUE(LoadColumnarCorpusFromReader(&reader, options, &full).ok());
+    // Fresh dictionary: the file's terms adopted verbatim, code = TermId.
+    EXPECT_EQ(full.dict().size(), reader.num_terms());
 
     // Select every third source of the full corpus, then every file url
-    // code normalizing to a selected source (whole canon groups, the
-    // BuildSourceRangeCatalog contract).
+    // code normalizing to a selected source (whole canon groups).
     std::set<std::string> selected_urls;
     std::vector<size_t> selected_sources;
     for (size_t s = 0; s < full.NumSources(); s += 3) {
@@ -186,10 +191,8 @@ TEST_F(ColumnarSubsetTest, ParallelLoadBitIdenticalToSerial) {
   ColumnarLoadOptions serial_options;
   serial_options.threshold = 0.7;
   web::Corpus serial;
-  std::vector<rdf::TermId> serial_remap;
-  ASSERT_TRUE(LoadColumnarCorpusFromReader(&reader, serial_options, &serial,
-                                           &serial_remap)
-                  .ok());
+  ASSERT_TRUE(
+      LoadColumnarCorpusFromReader(&reader, serial_options, &serial).ok());
 
   for (size_t threads : {2u, 4u, 7u}) {
     // Fresh reader per load: the parallel path must settle lazy
@@ -201,10 +204,8 @@ TEST_F(ColumnarSubsetTest, ParallelLoadBitIdenticalToSerial) {
     ColumnarLoadOptions options = serial_options;
     options.num_threads = threads;
     web::Corpus parallel;
-    std::vector<rdf::TermId> remap;
-    ASSERT_TRUE(
-        LoadColumnarCorpusFromReader(&fresh, options, &parallel, &remap).ok());
-    EXPECT_EQ(serial_remap, remap);
+    ASSERT_TRUE(LoadColumnarCorpusFromReader(&fresh, options, &parallel).ok());
+    ExpectDictionariesEqual(serial.dict(), parallel.dict());
     ASSERT_EQ(serial.NumSources(), parallel.NumSources()) << threads;
     ASSERT_EQ(serial.NumFacts(), parallel.NumFacts()) << threads;
     for (size_t s = 0; s < serial.NumSources(); ++s) {
@@ -228,109 +229,20 @@ TEST_F(ColumnarSubsetTest, ParallelLoadRemapsSeededDictionaryIdentically) {
   options.threshold = 0.7;
   options.dict = MakeSeeded();
   web::Corpus serial;
-  std::vector<rdf::TermId> serial_remap;
-  ASSERT_TRUE(
-      LoadColumnarCorpusFromReader(&reader, options, &serial, &serial_remap)
-          .ok());
-  EXPECT_FALSE(serial_remap.empty());  // seeded: codes shifted past residents
+  ASSERT_TRUE(LoadColumnarCorpusFromReader(&reader, options, &serial).ok());
+  // Seeded: the residents keep their ids, file codes shift past them.
+  EXPECT_EQ(serial.dict().Term(0), "kb-resident-term-a");
+  EXPECT_EQ(serial.dict().size(), 2 + reader.num_terms());
 
   options.dict = MakeSeeded();
   options.num_threads = 4;
   web::Corpus parallel;
-  std::vector<rdf::TermId> remap;
-  ASSERT_TRUE(
-      LoadColumnarCorpusFromReader(&reader, options, &parallel, &remap).ok());
-  EXPECT_EQ(serial_remap, remap);
+  ASSERT_TRUE(LoadColumnarCorpusFromReader(&reader, options, &parallel).ok());
+  ExpectDictionariesEqual(serial.dict(), parallel.dict());
   ASSERT_EQ(serial.NumSources(), parallel.NumSources());
   for (size_t s = 0; s < serial.NumSources(); ++s) {
     ExpectSourcesEqual(serial.sources()[s], parallel.sources()[s]);
   }
-}
-
-TEST_F(ColumnarSubsetTest, CollectUnsortedMatchesEachCorpusSource) {
-  const ExtractionDump dump = MakeDump(4000, 61, /*grouped=*/true);
-  store::ColumnarReader reader;
-  SaveAndOpen(dump, &reader);
-
-  const double threshold = 0.7;
-  ColumnarLoadOptions options;
-  options.threshold = threshold;
-  web::Corpus corpus;
-  std::vector<rdf::TermId> remap;
-  ASSERT_TRUE(
-      LoadColumnarCorpusFromReader(&reader, options, &corpus, &remap).ok());
-
-  SourceRangeCatalog catalog;
-  ASSERT_TRUE(BuildSourceRangeCatalog(&reader, corpus, &catalog).ok());
-  ASSERT_EQ(catalog.size(), corpus.NumSources());
-
-  for (size_t s = 0; s < corpus.NumSources(); ++s) {
-    ASSERT_FALSE(catalog[s].empty()) << corpus.sources()[s].url;
-    std::vector<rdf::Triple> collected;
-    ASSERT_TRUE(CollectColumnarFacts(reader, remap, threshold, catalog[s],
-                                     /*sorted=*/false, &collected)
-                    .ok());
-    // Unsorted collection reproduces the source's corpus fact list exactly
-    // (record-order dedup) — the ablation-mode worker contract.
-    EXPECT_EQ(collected, corpus.sources()[s].facts) << corpus.sources()[s].url;
-  }
-}
-
-TEST_F(ColumnarSubsetTest, CollectSortedMatchesNormalizedUnion) {
-  const ExtractionDump dump = MakeDump(4000, 67, /*grouped=*/true);
-  store::ColumnarReader reader;
-  SaveAndOpen(dump, &reader);
-
-  const double threshold = 0.7;
-  ColumnarLoadOptions options;
-  options.threshold = threshold;
-  web::Corpus corpus;
-  std::vector<rdf::TermId> remap;
-  ASSERT_TRUE(
-      LoadColumnarCorpusFromReader(&reader, options, &corpus, &remap).ok());
-  SourceRangeCatalog catalog;
-  ASSERT_TRUE(BuildSourceRangeCatalog(&reader, corpus, &catalog).ok());
-  ASSERT_GE(corpus.NumSources(), 4u);
-
-  // A multi-source shard, as the hierarchy executor builds them: the union
-  // of several sources' ranges, collected sorted, must equal the
-  // framework's NormalizeShardFacts (sort + dedup) over the union of those
-  // sources' corpus fact lists.
-  const std::vector<size_t> members = {0, 2, 3};
-  std::vector<store::RecordRange> ranges;
-  std::vector<rdf::Triple> expected;
-  for (const size_t s : members) {
-    ranges.insert(ranges.end(), catalog[s].begin(), catalog[s].end());
-    expected.insert(expected.end(), corpus.sources()[s].facts.begin(),
-                    corpus.sources()[s].facts.end());
-  }
-  std::sort(expected.begin(), expected.end());
-  expected.erase(std::unique(expected.begin(), expected.end()),
-                 expected.end());
-
-  std::vector<rdf::Triple> collected;
-  ASSERT_TRUE(CollectColumnarFacts(reader, remap, threshold, ranges,
-                                   /*sorted=*/true, &collected)
-                  .ok());
-  EXPECT_EQ(collected, expected);
-}
-
-TEST_F(ColumnarSubsetTest, CollectRejectsHostileRanges) {
-  const ExtractionDump dump = MakeDump(500, 71, /*grouped=*/true);
-  store::ColumnarReader reader;
-  SaveAndOpen(dump, &reader);
-  const std::vector<rdf::TermId> remap;  // identity
-
-  std::vector<rdf::Triple> out;
-  // Range past the end of the file.
-  EXPECT_FALSE(CollectColumnarFacts(reader, remap, 0.0,
-                                    {{reader.num_records(),
-                                      reader.num_records() + 10}},
-                                    false, &out)
-                   .ok());
-  // Inverted range.
-  EXPECT_FALSE(CollectColumnarFacts(reader, remap, 0.0, {{10, 2}}, false, &out)
-                   .ok());
 }
 
 }  // namespace

@@ -5,9 +5,13 @@
 
 #include "tools/commands.h"
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -82,6 +86,43 @@ class CommandsTest : public ::testing::Test {
       out += '\n';
     }
     return out;
+  }
+
+  /// Runs `midas coordinator` on the generated dump (with `coord_extra`)
+  /// against one forked `midas worker` loading `worker_dump` (with
+  /// `worker_extra`), and returns how many workers the coordinator
+  /// rejected at Hello. A rejected worker leaves the coordinator short of
+  /// --min_workers, so it times out; an accepted one runs the job.
+  uint64_t RejectedWorkers(const std::vector<std::string>& coord_extra,
+                           const std::string& worker_dump,
+                           const std::vector<std::string>& worker_extra) {
+    const std::string sock = dir_ + "/cli_dist.sock";
+    obs::Counter* rejected = MIDAS_OBS_COUNTER("dist.rejected_workers");
+    const uint64_t before = rejected->Value();
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+      FlagParser flags;
+      RegisterWorkerFlags(&flags);
+      std::vector<std::string> args = {"--dump=" + worker_dump,
+                                       "--connect=" + sock,
+                                       "--connect_timeout_ms=10000"};
+      args.insert(args.end(), worker_extra.begin(), worker_extra.end());
+      std::ostringstream out;
+      ::_exit(ParseInto(&flags, args).ok() && RunWorker(flags, out).ok() ? 0
+                                                                        : 1);
+    }
+    FlagParser flags;
+    RegisterCoordinatorFlags(&flags);
+    std::vector<std::string> args = {"--dump=" + dump_, "--json",
+                                     "--listen=" + sock, "--min_workers=1",
+                                     "--accept_timeout_ms=3000"};
+    args.insert(args.end(), coord_extra.begin(), coord_extra.end());
+    EXPECT_TRUE(ParseInto(&flags, args).ok());
+    std::ostringstream out;
+    (void)RunCoordinator(flags, out);
+    ::waitpid(pid, nullptr, 0);
+    std::remove(sock.c_str());
+    return rejected->Value() - before;
   }
 
   std::string dir_, dump_, kb_, silver_, slices_;
@@ -197,6 +238,64 @@ TEST_F(CommandsTest, DiscoverWorkersHealCrashesBitIdentical) {
   EXPECT_NE(healed.find("\"shards_failed\": 0"), std::string::npos);
 }
 #endif  // MIDAS_FAULT_INJECTION
+
+// The run fingerprint binds the detector: a worker with another cost model
+// and no KB is rejected at Hello instead of merging slices a default
+// coordinator could never have produced.
+TEST_F(CommandsTest, CoordinatorRejectsWorkerWithAnotherDetector) {
+  Generate();
+  EXPECT_EQ(RejectedWorkers({"--kb=" + kb_}, dump_, {"--kb=" + kb_}), 0u);
+  EXPECT_GE(RejectedWorkers({"--kb=" + kb_}, dump_, {"--f_c=0.5"}), 1u);
+}
+
+// The run fingerprint binds corpus content, not just its shape: a worker
+// whose dump has the same URLs and per-source fact counts but one changed
+// object is rejected at Hello — its source ids would name other facts.
+TEST_F(CommandsTest, CoordinatorRejectsWorkerWithSameShapeDifferentContent) {
+  Generate();
+  const std::string altered = dir_ + "/cli_dump_altered.tsv";
+  {
+    std::istringstream in(tests::ReadAll(dump_));
+    std::ofstream out(altered);
+    std::string line;
+    bool changed = false;
+    while (std::getline(in, line)) {
+      if (!changed) {
+        // url, subject, predicate, object, confidence: swap the object.
+        std::vector<std::string> cols;
+        std::istringstream row(line);
+        for (std::string col; std::getline(row, col, '\t');) {
+          cols.push_back(col);
+        }
+        ASSERT_EQ(cols.size(), 5u) << line;
+        cols[3] = "altered_object_not_in_the_dump";
+        line = cols[0] + "\t" + cols[1] + "\t" + cols[2] + "\t" + cols[3] +
+               "\t" + cols[4];
+        changed = true;
+      }
+      out << line << "\n";
+    }
+  }
+  EXPECT_GE(RejectedWorkers({}, altered, {}), 1u);
+  std::remove(altered.c_str());
+}
+
+// A checkpoint written by another method does not resume: the fingerprint
+// binds the detector, so the run starts fresh and matches a cold run.
+TEST_F(CommandsTest, ResumeAfterAnotherMethodsCheckpointStartsFresh) {
+  Generate();
+  const std::string ckpt = dir_ + "/cli_ckpt";
+  std::filesystem::remove_all(ckpt);
+  std::filesystem::create_directories(ckpt);
+  const std::string greedy =
+      DiscoverJson({"--method=greedy", "--checkpoint_dir=" + ckpt});
+  const std::string resumed =
+      DiscoverJson({"--checkpoint_dir=" + ckpt, "--resume"});
+  const std::string cold = DiscoverJson({});
+  EXPECT_EQ(StripSeconds(resumed), StripSeconds(cold));
+  EXPECT_NE(greedy.find("\"greedy\""), std::string::npos);
+  std::filesystem::remove_all(ckpt);
+}
 
 TEST_F(CommandsTest, DiscoverWithRangesFlag) {
   Generate();

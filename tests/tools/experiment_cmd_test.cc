@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/cli_helpers.h"
 #include "common/test_dir.h"
@@ -61,6 +64,39 @@ TEST_F(ExperimentCmdTest, JsonReportHasPerMethodRows) {
   EXPECT_NE(out.str().find("\"methods\""), std::string::npos);
   EXPECT_NE(out.str().find("\"f_measure\""), std::string::npos);
   EXPECT_NE(out.str().find("\"silver_slices\""), std::string::npos);
+}
+
+// Each method's checkpoint is bound to its detector: resuming greedy over a
+// checkpoint the midas run wrote last starts fresh, so the resumed report
+// equals a cold greedy run.
+TEST_F(ExperimentCmdTest, ResumeNeverRestoresAnotherMethodsShards) {
+  const std::string ckpt = tests::TestDir() + "/experiment_ckpt";
+  std::filesystem::remove_all(ckpt);
+  std::filesystem::create_directories(ckpt);
+  const auto run = [&](const std::vector<std::string>& extra) {
+    FlagParser flags;
+    RegisterExperimentFlags(&flags);
+    std::vector<std::string> args = {"--num_sources=10", "--seed=7",
+                                     "--json"};
+    args.insert(args.end(), extra.begin(), extra.end());
+    EXPECT_TRUE(ParseInto(&flags, args).ok());
+    std::ostringstream out;
+    const Status status = RunExperiment(flags, out);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    // Drop the wall-clock lines so separate runs compare equal.
+    std::istringstream in(out.str());
+    std::string line, report;
+    while (std::getline(in, line)) {
+      if (line.find("\"seconds\"") == std::string::npos) report += line + "\n";
+    }
+    return report;
+  };
+  (void)run({"--methods=greedy,midas", "--checkpoint_dir=" + ckpt});
+  const std::string resumed =
+      run({"--methods=greedy", "--checkpoint_dir=" + ckpt, "--resume"});
+  const std::string cold = run({"--methods=greedy"});
+  EXPECT_EQ(resumed, cold);
+  std::filesystem::remove_all(ckpt);
 }
 
 TEST_F(ExperimentCmdTest, RejectsUnknownMethod) {

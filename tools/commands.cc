@@ -283,12 +283,6 @@ void RegisterDiscoverFlags(FlagParser* flags) {
                   "threads for the columnar corpus load (0/1 = serial; "
                   "bit-identical either way; needs a source-grouped "
                   "columnar dump)");
-  flags->AddBool("by_ref", true,
-                 "dist mode: assign shards by reference (record ranges of "
-                 "the shared columnar dump) to workers that hold the same "
-                 "dump; workers without it, or non-columnar/non-indexed "
-                 "dumps, fall back to inline facts automatically "
-                 "(docs/DISTRIBUTED.md)");
   RegisterRobustnessFlags(flags);
   RegisterMetricsFlags(flags);
 }
@@ -297,23 +291,17 @@ void RegisterDiscoverFlags(FlagParser* flags) {
 /// `midas discover`, `midas coordinator`, and `midas worker` all construct
 /// their run through this one function: a worker whose setup differed from
 /// its coordinator's could not produce bit-identical shard results (the
-/// Hello fingerprint would catch the corpus-shape part of such a drift).
+/// Hello fingerprint catches such a drift).
 struct DiscoverSetup {
   extract::ExtractionDump dump;  // holds the shared dictionary
   extract::LoadStats load_stats;
   web::Corpus corpus;
-  uint64_t corpus_fingerprint = 0;
   std::unique_ptr<rdf::KnowledgeBase> kb;
   std::unique_ptr<core::NumericRangeIndex> ranges;
   std::unique_ptr<core::SliceDetector> detector;
   bool hierarchy_rounds = true;
-  /// Columnar fast path only: the open dump (kept mapped for by-reference
-  /// dist assignment — self-forked workers inherit the mapping), the
-  /// file-code -> TermId remap (empty = identity), and the per-source
-  /// record-range catalog (empty when the file has no source index).
-  std::unique_ptr<store::ColumnarReader> reader;
-  std::vector<rdf::TermId> remap;
-  extract::SourceRangeCatalog source_ranges;
+  /// baselines::DetectorContext of the method, cost model, --ranges and KB.
+  uint64_t detector_context = 0;
 };
 
 Status BuildDiscoverSetup(const FlagParser& flags, std::ostream& out,
@@ -326,27 +314,20 @@ Status BuildDiscoverSetup(const FlagParser& flags, std::ostream& out,
   const std::string dump_path = flags.GetString("dump");
   if (extract::IsColumnarDump(dump_path) && !flags.GetBool("clean")) {
     // Columnar fast path: build the confidence-filtered corpus straight
-    // from the mmap'd code arrays — no per-row materialization, and the
-    // file's content hash binds the checkpoint fingerprint. --clean needs
-    // row-level facts, so it takes the generic path below (LoadDump
-    // auto-detects the format there too). The reader stays open in `setup`
-    // so dist runs can assign shards by reference to it.
-    setup->reader = std::make_unique<store::ColumnarReader>();
+    // from the mmap'd code arrays — no per-row materialization. --clean
+    // needs row-level facts, so it takes the generic path below (LoadDump
+    // auto-detects the format there too).
+    store::ColumnarReader reader;
     store::ColumnarReadOptions read_options;
     read_options.lazy_verify = true;
-    MIDAS_RETURN_IF_ERROR(setup->reader->Open(dump_path, read_options));
+    MIDAS_RETURN_IF_ERROR(reader.Open(dump_path, read_options));
     extract::ColumnarLoadOptions load_options;
     load_options.threshold = flags.GetDouble("threshold");
     load_options.num_threads =
         static_cast<size_t>(flags.GetInt64("load_threads"));
     MIDAS_RETURN_IF_ERROR(extract::LoadColumnarCorpusFromReader(
-        setup->reader.get(), load_options, &setup->corpus, &setup->remap));
-    setup->corpus_fingerprint = setup->reader->content_fingerprint();
+        &reader, load_options, &setup->corpus));
     setup->dump.dict = setup->corpus.shared_dict();
-    if (setup->reader->has_source_index()) {
-      MIDAS_RETURN_IF_ERROR(extract::BuildSourceRangeCatalog(
-          setup->reader.get(), setup->corpus, &setup->source_ranges));
-    }
   } else {
     extract::LoadOptions load_options;
     load_options.strict = flags.GetBool("strict_load");
@@ -411,6 +392,8 @@ Status BuildDiscoverSetup(const FlagParser& flags, std::ostream& out,
   }
   setup->detector = spec->make(config);
   setup->hierarchy_rounds = spec->hierarchy_rounds;
+  setup->detector_context = baselines::DetectorContext(
+      spec->token, config.cost_model, flags.GetBool("ranges"), *setup->kb);
   return Status::OK();
 }
 
@@ -432,7 +415,7 @@ Status RunDiscoverImpl(const FlagParser& flags, std::ostream& out,
   framework_options.num_threads =
       static_cast<size_t>(flags.GetInt64("threads"));
   framework_options.use_hierarchy_rounds = setup.hierarchy_rounds;
-  framework_options.corpus_fingerprint = setup.corpus_fingerprint;
+  framework_options.detector_context = setup.detector_context;
   MIDAS_RETURN_IF_ERROR(ApplyRobustnessFlags(flags, &framework_options));
   ScopedDisarm disarm;
 
@@ -454,17 +437,6 @@ Status RunDiscoverImpl(const FlagParser& flags, std::ostream& out,
 
     dist::DistOptions dist_options;
     dist_options.fingerprint = fingerprint;
-    // By-reference dispatch: only when the corpus came off a columnar dump
-    // whose source index could name every source. The per-worker Hello hash
-    // still gates each delivery, so a mixed fleet (some workers without the
-    // dump) works off the same options.
-    const bool by_ref = flags.GetBool("by_ref") && setup.reader != nullptr &&
-                        !setup.source_ranges.empty();
-    if (by_ref) {
-      dist_options.corpus_hash = setup.reader->content_fingerprint();
-      dist_options.ref_threshold = flags.GetDouble("threshold");
-      dist_options.source_ranges = &setup.source_ranges;
-    }
     dist_options.worker_respawn_limit =
         static_cast<size_t>(flags.GetInt64("worker_respawn_limit"));
     dist_options.worker_liveness_ms =
@@ -484,21 +456,13 @@ Status RunDiscoverImpl(const FlagParser& flags, std::ostream& out,
       dist_options.num_workers = static_cast<size_t>(workers);
       // detect is captured by VALUE: respawned workers fork from inside
       // framework.Run, long after this block's stack frame is gone.
-      dist_options.worker_main = [&setup, detect, fingerprint,
-                                  by_ref](int fd) {
+      dist_options.worker_main = [&setup, detect, fingerprint](int fd) {
         dist::WorkerConfig config;
+        config.corpus = &setup.corpus;
         config.detector = setup.detector.get();
         config.kb = setup.kb.get();
-        config.dict = setup.dump.dict.get();
         config.detect = detect;
         config.fingerprint = fingerprint;
-        if (by_ref) {
-          // Forked children inherit the coordinator's mmap of the dump —
-          // announcing its hash lets the coordinator skip shipping inline
-          // facts to them.
-          config.corpus_reader = setup.reader.get();
-          config.corpus_remap = &setup.remap;
-        }
         const Status worker_status = dist::RunWorkerLoop(fd, config);
         if (!worker_status.ok()) {
           MIDAS_LOG(Warning) << "dist: worker exiting on error: "
@@ -621,7 +585,8 @@ Status RunCoordinator(const FlagParser& flags, std::ostream& out) {
 void RegisterWorkerFlags(FlagParser* flags) {
   // A worker loads the run exactly like the coordinator, so it shares the
   // discover flags (pass the same values on both sides; the Hello
-  // fingerprint rejects a worker whose corpus/seed/mode differ).
+  // fingerprint rejects a worker whose corpus, seed, mode or detector
+  // differ).
   RegisterDiscoverFlags(flags);
   flags->AddString("connect", "",
                    "coordinator address (required): host:port (TCP) or a "
@@ -645,7 +610,7 @@ Status RunWorker(const FlagParser& flags, std::ostream& out) {
 
   core::FrameworkOptions framework_options;
   framework_options.use_hierarchy_rounds = setup.hierarchy_rounds;
-  framework_options.corpus_fingerprint = setup.corpus_fingerprint;
+  framework_options.detector_context = setup.detector_context;
   MIDAS_RETURN_IF_ERROR(ApplyRobustnessFlags(flags, &framework_options));
   ScopedDisarm disarm;
 
@@ -658,22 +623,15 @@ Status RunWorker(const FlagParser& flags, std::ostream& out) {
   const int fd = *connected;
 
   dist::WorkerConfig config;
+  config.corpus = &setup.corpus;
   config.detector = setup.detector.get();
   config.kb = setup.kb.get();
-  config.dict = setup.dump.dict.get();
   config.detect.source_deadline_ms = framework_options.source_deadline_ms;
   config.detect.max_retries = framework_options.max_retries;
   config.detect.retry_backoff_ms = framework_options.retry_backoff_ms;
   config.detect.run_seed = framework_options.run_seed;
   config.fingerprint =
       core::ComputeRunFingerprint(setup.corpus, framework_options);
-  if (flags.GetBool("by_ref") && setup.reader != nullptr) {
-    // Announce the local columnar dump so a coordinator holding the same
-    // file assigns shards by reference (record ranges) instead of inline
-    // facts; a coordinator without it simply ignores the hash.
-    config.corpus_reader = setup.reader.get();
-    config.corpus_remap = &setup.remap;
-  }
   config.heartbeat_interval_ms =
       static_cast<int>(flags.GetInt64("heartbeat_ms"));
   config.transport = dist::IsTcpAddress(path) ? dist::Transport::kTcp
@@ -723,16 +681,16 @@ Status RunExperiment(const FlagParser& flags, std::ostream& out) {
                        flags.GetDouble("f_d"), flags.GetDouble("f_v")};
   eval::MethodSuite suite(cost);
 
-  std::vector<std::string> method_names;
+  std::vector<const baselines::Method*> methods;
   for (std::string_view token :
        SplitSkipEmpty(flags.GetString("methods"), ',')) {
     const baselines::Method* method = baselines::FindMethod(token);
     if (method == nullptr) {
       return Status::InvalidArgument("unknown method: " + std::string(token));
     }
-    method_names.emplace_back(method->suite_name);
+    methods.push_back(method);
   }
-  if (method_names.empty()) {
+  if (methods.empty()) {
     return Status::InvalidArgument("--methods must name at least one method");
   }
 
@@ -763,9 +721,14 @@ Status RunExperiment(const FlagParser& flags, std::ostream& out) {
 
   TablePrinter table({"method", "slices", "precision", "recall", "f-measure",
                       "seconds"});
-  for (const std::string& name : method_names) {
+  for (const baselines::Method* method : methods) {
+    const std::string name = method->suite_name;
     const eval::MethodSpec* spec = suite.Find(name);
     MIDAS_CHECK(spec != nullptr);
+    // Each method's checkpoint binds its own detector, so a resumed
+    // experiment never restores one method's shards into another's run.
+    framework_options.detector_context = baselines::DetectorContext(
+        method->token, cost, /*ranges=*/false, *data.kb);
     auto result = eval::RunMethodWithOptions(*spec, *data.corpus, *data.kb,
                                              framework_options);
     auto scores =
@@ -840,8 +803,7 @@ void RegisterConvertFlags(FlagParser* flags) {
   flags->AddBool("reindex", false,
                  "with columnar output: stable-group records by source "
                  "first, so the file carries the source-range index "
-                 "(enables subset loads and by-reference dist assignment; "
-                 "docs/FORMATS.md)");
+                 "(enables subset loads; docs/FORMATS.md)");
 }
 
 Status RunConvert(const FlagParser& flags, std::ostream& out) {
@@ -1015,10 +977,9 @@ Status RunServe(const FlagParser& flags, std::ostream& out) {
   web::Corpus corpus;
   std::shared_ptr<rdf::Dictionary> dict;
   if (extract::IsColumnarDump(corpus_path)) {
-    uint64_t corpus_fingerprint = 0;
     MIDAS_RETURN_IF_ERROR(extract::LoadColumnarCorpus(
         corpus_path, threshold, /*dict=*/nullptr, &corpus,
-        &corpus_fingerprint));
+        /*fingerprint=*/nullptr));
     dict = corpus.shared_dict();
   } else {
     extract::ExtractionDump dump;

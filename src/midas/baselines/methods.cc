@@ -60,23 +60,27 @@ const Method* FindMethod(std::string_view token) {
   return nullptr;
 }
 
+KbContentHash HashKbContent(const rdf::KnowledgeBase& kb) {
+  KbContentHash hash;
+  hash.facts = kb.size();
+  for (const rdf::Triple& t : kb.store().triples()) {
+    hash.fact_sum += HashMix(HashCombine(
+        (static_cast<uint64_t>(t.subject) << 32) | t.predicate, t.object));
+  }
+  return hash;
+}
+
 uint64_t DetectorContext(std::string_view method,
                          const core::CostModel& cost_model, bool ranges,
-                         const rdf::KnowledgeBase& kb) {
+                         const KbContentHash& kb) {
   uint64_t h = Fnv1a64(method);
   for (const double v : {cost_model.f_p, cost_model.f_c, cost_model.f_d,
                          cost_model.f_v}) {
     h = HashCombine(h, std::bit_cast<uint64_t>(v));
   }
   h = HashCombine(h, ranges ? 1u : 0u);
-  // A sum of mixed facts: the same KB hashes equal in any load order.
-  uint64_t kb_sum = 0;
-  for (const rdf::Triple& t : kb.store().triples()) {
-    kb_sum += HashMix(HashCombine(
-        (static_cast<uint64_t>(t.subject) << 32) | t.predicate, t.object));
-  }
-  h = HashCombine(h, kb.size());
-  return HashMix(HashCombine(h, kb_sum));
+  h = HashCombine(h, kb.facts);
+  return HashMix(HashCombine(h, kb.fact_sum));
 }
 
 }  // namespace baselines

@@ -46,15 +46,26 @@ std::span<const Method> Methods();
 /// The method whose token is `token`, or null.
 const Method* FindMethod(std::string_view token);
 
+/// The KB's share of a detector context: its fact count and an
+/// order-independent sum of its mixed facts, as ids (the run fingerprint
+/// binds the dictionary they index), so the same KB hashes equal in any
+/// load order.
+struct KbContentHash {
+  uint64_t facts = 0;
+  uint64_t fact_sum = 0;
+};
+
+/// O(|KB|): a long-lived caller computes it once per KB load and hands it
+/// to every DetectorContext.
+KbContentHash HashKbContent(const rdf::KnowledgeBase& kb);
+
 /// Identity of a configured detector (core::FrameworkOptions::
 /// detector_context): the method token, the cost model's exact bits,
-/// whether the numeric-range extension is on, and the KB's facts — as ids,
-/// order-independent; the run fingerprint binds the dictionary they index.
-/// Equal contexts mean equal detector output on equal shard inputs.
-/// O(|KB|).
+/// whether the numeric-range extension is on, and the KB's content.
+/// Equal contexts mean equal detector output on equal shard inputs. O(1).
 uint64_t DetectorContext(std::string_view method,
                          const core::CostModel& cost_model, bool ranges,
-                         const rdf::KnowledgeBase& kb);
+                         const KbContentHash& kb);
 
 }  // namespace baselines
 }  // namespace midas

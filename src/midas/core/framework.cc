@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <map>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -89,7 +90,6 @@ namespace {
 /// Per-URL work unit accumulated while walking the hierarchy upward.
 struct Shard {
   std::string url;
-  size_t depth = 0;
   /// All facts in this URL's subtree (direct + bubbled up from children).
   /// Layout: an unsorted direct-extraction prefix, then zero or more
   /// sorted, deduplicated runs bubbled up from already-processed children
@@ -480,24 +480,27 @@ FrameworkResult MidasFramework::Run(const web::Corpus& corpus,
   // Hierarchy mode plans one shard per URL, starting from the explicit
   // sources; ablation mode is a single depth-0 round of one unnormalized,
   // unconsolidated task per explicit source (no shard ever bubbles up).
+  // The frontier is keyed by depth, then URL: a round takes its shards in
+  // URL order, so a parent's child slices (the detector's seeds) arrive in
+  // an order that depends only on the URLs — never on which other domains
+  // share the corpus. A shard's parent always lands one depth up, so the
+  // depth-0 shard a source's facts end in is web::UrlAncestry's root.
   const bool hierarchy = options_.use_hierarchy_rounds;
   const auto& sources = corpus.sources();
-  std::unordered_map<std::string, Shard> frontier;
-  size_t max_depth = 0;
+  std::vector<std::map<std::string, Shard>> frontier;
   if (hierarchy) {
     for (size_t si = 0; si < sources.size(); ++si) {
       const auto& source = sources[si];
-      Shard& shard = frontier[source.url];
-      if (shard.url.empty()) {
-        shard.url = source.url;
-        shard.depth = web::UrlDepth(source.url);
-      }
+      const size_t depth = web::UrlDepth(source.url);
+      if (frontier.size() <= depth) frontier.resize(depth + 1);
+      Shard& shard = frontier[depth][source.url];
+      if (shard.url.empty()) shard.url = source.url;
       shard.facts.insert(shard.facts.end(), source.facts.begin(),
                          source.facts.end());
       shard.source_ids.push_back(static_cast<uint32_t>(si));
-      max_depth = std::max(max_depth, shard.depth);
     }
   }
+  const size_t max_depth = frontier.empty() ? 0 : frontier.size() - 1;
 
   InProcessShardExecutor in_process;
   ShardExecutor* executor =
@@ -520,15 +523,12 @@ FrameworkResult MidasFramework::Run(const web::Corpus& corpus,
     std::vector<Shard> round;
     std::vector<ShardTask> tasks;
     if (hierarchy) {
-      for (auto it = frontier.begin(); it != frontier.end();) {
-        if (it->second.depth == depth) {
-          round.push_back(std::move(it->second));
-          it = frontier.erase(it);
-        } else {
-          ++it;
-        }
+      if (depth >= frontier.size() || frontier[depth].empty()) continue;
+      round.reserve(frontier[depth].size());
+      for (auto& [url, shard] : frontier[depth]) {
+        round.push_back(std::move(shard));
       }
-      if (round.empty()) continue;
+      frontier[depth].clear();
       tasks.resize(round.size());
       for (size_t i = 0; i < round.size(); ++i) {
         tasks[i].url = std::move(round[i].url);
@@ -620,10 +620,11 @@ FrameworkResult MidasFramework::Run(const web::Corpus& corpus,
     const bool cancelled_now = run_cancelled();
     const uint64_t merge_start_ns = MIDAS_OBS_NOW_NS();
     (void)merge_start_ns;  // unused in a MIDAS_OBS_NOOP build
-    // Export upward (or finalize at depth 0). On a cancelled run nothing
-    // bubbles further: every surviving slice — including tentative child
-    // slices of shards never run — goes straight to the final set, so the
-    // caller still sees the best-so-far state.
+    // Export upward (or finalize at depth 0). A cancelled run still exports
+    // this round, so every parent it feeds is planned and then drained
+    // below (reported cancelled, its children's slices surfaced as final):
+    // a cut above depth 0 always leaves a cancelled report, and the caller
+    // still sees the best-so-far state.
     for (size_t i = 0; i < tasks.size(); ++i) {
       ShardTask& task = tasks[i];
       ShardTaskResult& res = results[i];
@@ -650,16 +651,13 @@ FrameworkResult MidasFramework::Run(const web::Corpus& corpus,
         continue;
       }
       result.stats.shards_processed++;
-      if (depth == 0 || cancelled_now) {
+      if (depth == 0) {
         for (auto& s : res.slices) final_slices.push_back(std::move(s));
         continue;
       }
       std::string parent_url = web::ParentUrlString(task.url);
-      Shard& parent = frontier[parent_url];
-      if (parent.url.empty()) {
-        parent.url = std::move(parent_url);
-        parent.depth = depth - 1;
-      }
+      Shard& parent = frontier[depth - 1][parent_url];
+      if (parent.url.empty()) parent.url = std::move(parent_url);
       // The shard's facts are sorted + deduped (normalized above); record
       // the run boundary so the parent's normalization can merge instead
       // of sort.
@@ -678,10 +676,12 @@ FrameworkResult MidasFramework::Run(const web::Corpus& corpus,
     if (cancelled_now) {
       // Drain the untouched shallower frontier: report each planned shard
       // cancelled and surface its children's tentative slices.
-      for (auto& entry : frontier) {
-        record(entry.first, ShardDetectResult{}, Origin::kExecuted);
-        for (auto& s : entry.second.child_slices) {
-          final_slices.push_back(std::move(s));
+      for (auto& level : frontier) {
+        for (auto& [url, shard] : level) {
+          record(url, ShardDetectResult{}, Origin::kExecuted);
+          for (auto& s : shard.child_slices) {
+            final_slices.push_back(std::move(s));
+          }
         }
       }
       frontier.clear();

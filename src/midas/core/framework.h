@@ -355,6 +355,11 @@ uint64_t ComputeRunFingerprint(const web::Corpus& corpus,
 ///
 /// Parallelism: shards within a round are independent and run on a thread
 /// pool — the in-process stand-in for the paper's MapReduce deployment.
+///
+/// Each round takes its shards in URL order, and a shard only ever meets
+/// its own children, so two web domains (web::UrlAncestry roots) never
+/// interact: a run's result is the fold of runs over each domain's sources
+/// — slices ranked together, reports merged by URL, counters summed.
 class MidasFramework {
  public:
   /// `detector` must outlive the framework and be thread-safe.

@@ -83,30 +83,32 @@ Status LoadSlices(const std::string& path, rdf::Dictionary* dict,
   return Status::OK();
 }
 
+JsonValue SliceToJson(const DiscoveredSlice& slice,
+                      const rdf::Dictionary& dict) {
+  JsonValue row = JsonValue::Object();
+  row.Set("source_url", JsonValue::Str(slice.source_url));
+  row.Set("description", JsonValue::Str(slice.Description(dict)));
+  JsonValue props = JsonValue::Array();
+  for (const auto& p : slice.properties) {
+    JsonValue prop = JsonValue::Object();
+    prop.Set("predicate", JsonValue::Str(dict.Term(p.predicate)));
+    prop.Set("value", JsonValue::Str(dict.Term(p.value)));
+    props.Append(std::move(prop));
+  }
+  row.Set("properties", std::move(props));
+  row.Set("num_facts", JsonValue::Int(static_cast<int64_t>(slice.num_facts)));
+  row.Set("num_new_facts",
+          JsonValue::Int(static_cast<int64_t>(slice.num_new_facts)));
+  row.Set("profit", JsonValue::Number(slice.profit));
+  return row;
+}
+
 JsonValue SlicesToJson(const std::vector<DiscoveredSlice>& slices,
                        const rdf::Dictionary& dict, size_t limit) {
   JsonValue rows = JsonValue::Array();
   const size_t count =
       limit == 0 ? slices.size() : std::min(limit, slices.size());
-  for (size_t i = 0; i < count; ++i) {
-    const DiscoveredSlice& s = slices[i];
-    JsonValue row = JsonValue::Object();
-    row.Set("source_url", JsonValue::Str(s.source_url));
-    row.Set("description", JsonValue::Str(s.Description(dict)));
-    JsonValue props = JsonValue::Array();
-    for (const auto& p : s.properties) {
-      JsonValue prop = JsonValue::Object();
-      prop.Set("predicate", JsonValue::Str(dict.Term(p.predicate)));
-      prop.Set("value", JsonValue::Str(dict.Term(p.value)));
-      props.Append(std::move(prop));
-    }
-    row.Set("properties", std::move(props));
-    row.Set("num_facts", JsonValue::Int(static_cast<int64_t>(s.num_facts)));
-    row.Set("num_new_facts",
-            JsonValue::Int(static_cast<int64_t>(s.num_new_facts)));
-    row.Set("profit", JsonValue::Number(s.profit));
-    rows.Append(std::move(row));
-  }
+  for (size_t i = 0; i < count; ++i) rows.Append(SliceToJson(slices[i], dict));
   return rows;
 }
 

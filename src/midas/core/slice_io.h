@@ -33,10 +33,14 @@ Status SaveSlices(const std::string& path, const rdf::Dictionary& dict,
 Status LoadSlices(const std::string& path, rdf::Dictionary* dict,
                   std::vector<DiscoveredSlice>* out);
 
-/// The JSON slice list of `discover --json` and `/discover`: one row per
-/// slice — source_url, description, properties [{predicate, value}],
-/// num_facts, num_new_facts, profit — for the first `limit` slices
-/// (0 = all), terms resolved through `dict`.
+/// One row of the JSON slice list: source_url, description, properties
+/// [{predicate, value}], num_facts, num_new_facts, profit, terms resolved
+/// through `dict`.
+JsonValue SliceToJson(const DiscoveredSlice& slice,
+                      const rdf::Dictionary& dict);
+
+/// The JSON slice list of `discover --json` and `/discover`: SliceToJson
+/// of the first `limit` slices (0 = all).
 JsonValue SlicesToJson(const std::vector<DiscoveredSlice>& slices,
                        const rdf::Dictionary& dict, size_t limit = 0);
 

@@ -17,15 +17,17 @@ std::string DiscoveredSlice::Description(const rdf::Dictionary& dict) const {
   return out;
 }
 
+bool RanksBefore(const DiscoveredSlice& a, const DiscoveredSlice& b) {
+  if (a.profit != b.profit) return a.profit > b.profit;
+  if (a.source_url != b.source_url) return a.source_url < b.source_url;
+  if (a.properties.size() != b.properties.size()) {
+    return a.properties.size() > b.properties.size();
+  }
+  return a.properties < b.properties;
+}
+
 void SortByProfitDesc(std::vector<DiscoveredSlice>* slices) {
-  std::sort(slices->begin(), slices->end(),
-            [](const DiscoveredSlice& a, const DiscoveredSlice& b) {
-              if (a.profit != b.profit) return a.profit > b.profit;
-              if (a.source_url != b.source_url) {
-                return a.source_url < b.source_url;
-              }
-              return a.properties.size() > b.properties.size();
-            });
+  std::sort(slices->begin(), slices->end(), RanksBefore);
 }
 
 }  // namespace core

@@ -64,8 +64,13 @@ struct DiscoveredSlice {
   std::string Description(const rdf::Dictionary& dict) const;
 };
 
-/// Sorts slices by descending profit (ties broken by URL then description
-/// size for determinism).
+/// The ranking order of reported slices: descending profit, then URL, then
+/// more properties first, then the properties lexicographically. A strict
+/// weak order under which two slices tie only if they share profit, URL
+/// and property set, so a ranking never depends on the input order.
+bool RanksBefore(const DiscoveredSlice& a, const DiscoveredSlice& b);
+
+/// Sorts slices by RanksBefore.
 void SortByProfitDesc(std::vector<DiscoveredSlice>* slices);
 
 }  // namespace core

@@ -8,7 +8,10 @@
 #include "midas/baselines/methods.h"
 #include "midas/core/midas.h"
 #include "midas/obs/export.h"
+#include "midas/obs/obs.h"
 #include "midas/util/string_util.h"
+#include "midas/util/timer.h"
+#include "midas/web/url.h"
 
 namespace midas {
 namespace serve {
@@ -82,9 +85,48 @@ DiscoveryService::DiscoveryService(web::Corpus corpus, rdf::KnowledgeBase kb,
     : options_(options),
       corpus_(std::move(corpus)),
       kb_(std::move(kb)),
+      kb_hash_(baselines::HashKbContent(kb_)),
       cache_(options.cache_capacity) {
   // Bulk (columnar) loads skip the dedup sets; ingest needs them.
   corpus_.RebuildDedupIndex();
+  AddSourcesToDomains(0);
+}
+
+void DiscoveryService::AddSourcesToDomains(size_t first) {
+  constexpr uint32_t kNoDomain = UINT32_MAX;
+  const auto& sources = corpus_.sources();
+  for (size_t si = first; si < sources.size(); ++si) {
+    std::vector<std::string> ancestry = web::UrlAncestry(sources[si].url);
+    uint32_t domain = kNoDomain;
+    for (const std::string& url : ancestry) {
+      const auto it = domain_of_url_.find(url);
+      if (it == domain_of_url_.end() || it->second == domain) continue;
+      if (domain == kNoDomain) {
+        domain = it->second;
+        continue;
+      }
+      // Two domains share this shard URL: fold the other one in.
+      const uint32_t merged = it->second;
+      for (auto& [shard_url, id] : domain_of_url_) {
+        if (id == merged) id = domain;
+      }
+      std::vector<uint32_t>& into = domain_sources_[domain];
+      into.insert(into.end(), domain_sources_[merged].begin(),
+                  domain_sources_[merged].end());
+      domain_sources_[merged].clear();
+      results_[merged].reset();
+    }
+    if (domain == kNoDomain) {
+      domain = static_cast<uint32_t>(domain_sources_.size());
+      domain_sources_.emplace_back();
+      results_.emplace_back();
+    }
+    domain_sources_[domain].push_back(static_cast<uint32_t>(si));
+    results_[domain].reset();
+    for (std::string& url : ancestry) {
+      domain_of_url_.try_emplace(std::move(url), domain);
+    }
+  }
 }
 
 uint64_t DiscoveryService::corpus_version() const {
@@ -116,6 +158,54 @@ HttpResponse DiscoveryService::Handle(const HttpRequest& request,
     return HttpResponse::Json(200, obs::MetricsToJson());
   }
   return HttpResponse::Error(404, "no such endpoint");
+}
+
+void DiscoveryService::StoreDomainResults(
+    const std::vector<uint32_t>& stale, uint64_t detector_context,
+    bool hierarchy_rounds, core::FrameworkResult* fresh,
+    std::vector<std::shared_ptr<const DomainResult>>* results,
+    std::vector<core::DiscoveredSlice>* unstored) {
+  struct Split {
+    DomainResult result;
+    bool clean = true;  // every shard ended ok/no_slices
+  };
+  std::unordered_map<uint32_t, Split> split;
+  for (const core::SourceReport& report : fresh->sources) {
+    Split& out = split[domain_of_url_.at(report.url)];
+    out.result.shards++;
+    out.result.detector_calls += report.attempts;
+    out.clean = out.clean && (report.status == core::SourceStatus::kOk ||
+                              report.status == core::SourceStatus::kNoSlices);
+  }
+  // A cut run stores nothing. Its cancelled reports already mark every
+  // domain it left unfinished; skipping the others costs one re-run of the
+  // domains a deadline-bound request happened to finish.
+  const bool cut = fresh->partial;
+  for (core::DiscoveredSlice& slice : fresh->slices) {
+    split[domain_of_url_.at(slice.source_url)].result.slices.push_back(
+        std::move(slice));
+  }
+  std::lock_guard<std::mutex> results_lock(results_mu_);
+  for (const uint32_t d : stale) {
+    Split& out = split[d];
+    if (cut || !out.clean) {
+      for (auto& slice : out.result.slices) {
+        unstored->push_back(std::move(slice));
+      }
+      results_[d].reset();
+      continue;
+    }
+    out.result.detector_context = detector_context;
+    out.result.rounds = 1;
+    if (hierarchy_rounds) {
+      for (const uint32_t si : domain_sources_[d]) {
+        out.result.rounds = std::max(
+            out.result.rounds, web::UrlDepth(corpus_.sources()[si].url) + 1);
+      }
+    }
+    (*results)[d] = std::make_shared<const DomainResult>(std::move(out.result));
+    results_[d] = (*results)[d];
+  }
 }
 
 HttpResponse DiscoveryService::HandleDiscover(const HttpRequest& request,
@@ -159,50 +249,124 @@ HttpResponse DiscoveryService::HandleDiscover(const HttpRequest& request,
 
   // The method was validated by ParseDiscoverOptions.
   const baselines::Method& method = *baselines::FindMethod(opts.method);
-  baselines::DetectorConfig config;
-  config.cost_model = opts.cost;
-  const std::unique_ptr<core::SliceDetector> detector = method.make(config);
+  const uint64_t detector_context =
+      baselines::DetectorContext(opts.method, opts.cost, /*ranges=*/false,
+                                 kb_hash_);
+  Stopwatch watch;
 
-  core::FrameworkOptions framework_options;
-  framework_options.num_threads = options_.num_threads;
-  framework_options.use_hierarchy_rounds = method.hierarchy_rounds;
-  framework_options.cancel = effective;
-  framework_options.memo = &memo_;
-  framework_options.detector_context = baselines::DetectorContext(
-      opts.method, opts.cost, /*ranges=*/false, kb_);
-  core::MidasFramework framework(detector.get(), framework_options);
-  const core::FrameworkResult result = framework.Run(corpus_, kb_);
+  // Every domain keeps its stored result if one exists under this detector;
+  // the rest ("stale") go through one framework run.
+  std::vector<std::shared_ptr<const DomainResult>> results;
+  {
+    std::lock_guard<std::mutex> results_lock(results_mu_);
+    results = results_;
+  }
+  std::vector<uint32_t> stale;
+  size_t live_domains = 0;
+  for (uint32_t d = 0; d < domain_sources_.size(); ++d) {
+    if (domain_sources_[d].empty()) continue;  // merged into another
+    ++live_domains;
+    if (results[d] == nullptr ||
+        results[d]->detector_context != detector_context) {
+      results[d].reset();
+      stale.push_back(d);
+    }
+  }
+  const size_t reused = live_domains - stale.size();
+
+  core::FrameworkResult fresh;
+  std::vector<core::DiscoveredSlice> unstored;  // fresh, but not storable
+  if (!stale.empty()) {
+    web::Corpus stale_corpus(corpus_.shared_dict());
+    const web::Corpus* run_corpus = &corpus_;
+    if (stale.size() < live_domains) {
+      for (const uint32_t d : stale) {
+        for (const uint32_t si : domain_sources_[d]) {
+          const web::WebSource& source = corpus_.sources()[si];
+          const size_t index = stale_corpus.AddSource(source.url);
+          stale_corpus.mutable_sources()[index].facts = source.facts;
+        }
+      }
+      run_corpus = &stale_corpus;
+    }
+    baselines::DetectorConfig config;
+    config.cost_model = opts.cost;
+    const std::unique_ptr<core::SliceDetector> detector = method.make(config);
+    core::FrameworkOptions framework_options;
+    framework_options.num_threads = options_.num_threads;
+    framework_options.use_hierarchy_rounds = method.hierarchy_rounds;
+    framework_options.cancel = effective;
+    framework_options.memo = &memo_;
+    framework_options.detector_context = detector_context;
+    const core::MidasFramework framework(detector.get(), framework_options);
+    fresh = framework.Run(*run_corpus, kb_);
+
+    StoreDomainResults(stale, detector_context, method.hierarchy_rounds,
+                       &fresh, &results, &unstored);
+  }
+  MIDAS_OBS_ADD(MIDAS_OBS_COUNTER("serve.domains_reused"), reused);
+  MIDAS_OBS_ADD(MIDAS_OBS_COUNTER("serve.domains_run"), stale.size());
+
+  // Fold: the run's stats plus every reused domain's stored ones, then rank
+  // every surviving slice by pointer and render only the top_k.
+  core::FrameworkStats stats = fresh.stats;
+  std::vector<const core::DiscoveredSlice*> ranked;
+  for (const core::DiscoveredSlice& slice : unstored) ranked.push_back(&slice);
+  for (uint32_t d = 0; d < results.size(); ++d) {
+    if (results[d] == nullptr) continue;
+    for (const core::DiscoveredSlice& slice : results[d]->slices) {
+      ranked.push_back(&slice);
+    }
+    if (std::binary_search(stale.begin(), stale.end(), d)) continue;
+    stats.shards_processed += results[d]->shards;
+    stats.memo_hits += results[d]->shards;
+    stats.detector_calls += results[d]->detector_calls;
+    stats.rounds = std::max(stats.rounds, results[d]->rounds);
+  }
+  const size_t shown = opts.top_k == 0
+                           ? ranked.size()
+                           : std::min(static_cast<size_t>(opts.top_k),
+                                      ranked.size());
+  const auto ranks_before = [](const core::DiscoveredSlice* a,
+                               const core::DiscoveredSlice* b) {
+    return core::RanksBefore(*a, *b);
+  };
+  std::partial_sort(ranked.begin(),
+                    ranked.begin() + static_cast<ptrdiff_t>(shown),
+                    ranked.end(),
+                    ranks_before);
+  JsonValue rows = JsonValue::Array();
+  for (size_t i = 0; i < shown; ++i) {
+    rows.Append(core::SliceToJson(*ranked[i], corpus_.dict()));
+  }
 
   JsonValue report = JsonValue::Object();
   report.Set("corpus_version", JsonValue::Int(static_cast<int64_t>(version)));
   report.Set("method", JsonValue::Str(opts.method));
-  report.Set("partial", JsonValue::Bool(result.partial));
-  JsonValue stats = JsonValue::Object();
-  stats.Set("detector_calls",
-            JsonValue::Int(static_cast<int64_t>(result.stats.detector_calls)));
-  stats.Set("shards_processed",
-            JsonValue::Int(
-                static_cast<int64_t>(result.stats.shards_processed)));
-  stats.Set("memo_hits",
-            JsonValue::Int(static_cast<int64_t>(result.stats.memo_hits)));
-  stats.Set("memo_misses",
-            JsonValue::Int(static_cast<int64_t>(result.stats.memo_misses)));
-  stats.Set("rounds",
-            JsonValue::Int(static_cast<int64_t>(result.stats.rounds)));
-  stats.Set("seconds", JsonValue::Number(result.stats.seconds));
-  report.Set("stats", std::move(stats));
+  report.Set("partial", JsonValue::Bool(fresh.partial));
+  JsonValue stats_json = JsonValue::Object();
+  stats_json.Set("detector_calls",
+                 JsonValue::Int(static_cast<int64_t>(stats.detector_calls)));
+  stats_json.Set("shards_processed",
+                 JsonValue::Int(static_cast<int64_t>(stats.shards_processed)));
+  stats_json.Set("memo_hits",
+                 JsonValue::Int(static_cast<int64_t>(stats.memo_hits)));
+  stats_json.Set("memo_misses",
+                 JsonValue::Int(static_cast<int64_t>(stats.memo_misses)));
+  stats_json.Set("rounds", JsonValue::Int(static_cast<int64_t>(stats.rounds)));
+  stats_json.Set("seconds", JsonValue::Number(watch.ElapsedSeconds()));
+  report.Set("stats", std::move(stats_json));
   report.Set("num_slices",
-             JsonValue::Int(static_cast<int64_t>(result.slices.size())));
-  report.Set("slices", core::SlicesToJson(result.slices, corpus_.dict(),
-                                          static_cast<size_t>(opts.top_k)));
+             JsonValue::Int(static_cast<int64_t>(ranked.size())));
+  report.Set("slices", std::move(rows));
 
   HttpResponse response = HttpResponse::Json(200, report);
   // Partial (deadline-cut) results are real answers but must never be
   // cached: a later identical query deserves the full run.
-  if (opts.use_cache && !result.partial) {
+  if (opts.use_cache && !fresh.partial) {
     cache_.Insert(cache_key, response.body);
   }
-  response.SetHeader("X-Midas-Cache", result.partial ? "skip" : "miss");
+  response.SetHeader("X-Midas-Cache", fresh.partial ? "skip" : "miss");
   return response;
 }
 
@@ -243,9 +407,17 @@ HttpResponse DiscoveryService::HandleIngest(const HttpRequest& request) {
   }
 
   std::unique_lock<std::shared_mutex> lock(state_mu_);
+  const size_t known_sources = corpus_.NumSources();
   const extract::DeltaStats stats = extract::ApplyFactDelta(
       delta, options_.confidence_threshold, &corpus_);
   if (stats.added > 0) corpus_version_++;
+  {
+    std::lock_guard<std::mutex> results_lock(results_mu_);
+    AddSourcesToDomains(known_sources);
+    for (const std::string& url : stats.touched_urls) {
+      results_[domain_of_url_.at(url)].reset();
+    }
+  }
 
   JsonValue report = JsonValue::Object();
   report.Set("added", JsonValue::Int(static_cast<int64_t>(stats.added)));

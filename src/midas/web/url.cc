@@ -117,5 +117,16 @@ size_t UrlDepth(std::string_view normalized) {
   return depth == 0 ? 0 : depth - 1;
 }
 
+std::vector<std::string> UrlAncestry(std::string_view normalized) {
+  const size_t depth = UrlDepth(normalized);
+  std::vector<std::string> chain;
+  chain.reserve(depth + 1);
+  chain.emplace_back(normalized);
+  for (size_t level = 0; level < depth; ++level) {
+    chain.push_back(ParentUrlString(chain.back()));
+  }
+  return chain;
+}
+
 }  // namespace web
 }  // namespace midas

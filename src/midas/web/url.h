@@ -77,6 +77,12 @@ std::string ParentUrlString(std::string_view normalized);
 /// Number of path segments in a normalized URL string.
 size_t UrlDepth(std::string_view normalized);
 
+/// The URLs of the shards the framework's hierarchy rounds carry a source's
+/// facts through: `normalized` itself, then ParentUrlString applied once
+/// per round down to depth 0 — UrlDepth(normalized) + 1 entries, the last
+/// one the source's root domain (unparsable strings included).
+std::vector<std::string> UrlAncestry(std::string_view normalized);
+
 }  // namespace web
 }  // namespace midas
 

@@ -11,10 +11,14 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "common/corpus_fixture.h"
 #include "midas/core/midas_alg.h"
+#include "midas/fault/cancel.h"
+#include "midas/web/url.h"
 #include "midas/web/web_source.h"
 
 namespace midas {
@@ -59,6 +63,24 @@ class FlakyDetector : public SliceDetector {
   int failures_per_url_;
   mutable std::mutex mu_;
   mutable std::map<std::string, int> attempts_;
+};
+
+/// Runs each round in process, then cancels the run: the cut lands after
+/// the first round's shards all finished, before any parent ran.
+class CancelAfterRound : public ShardExecutor {
+ public:
+  explicit CancelAfterRound(fault::CancelToken* token) : token_(token) {}
+
+  void ExecuteRound(const ShardExecutionContext& ctx,
+                    std::vector<ShardTask>* tasks,
+                    std::vector<ShardTaskResult>* results) override {
+    in_process_.ExecuteRound(ctx, tasks, results);
+    token_->Cancel();
+  }
+
+ private:
+  InProcessShardExecutor in_process_;
+  fault::CancelToken* token_;
 };
 
 std::map<std::string, SourceReport> ByUrl(const FrameworkResult& result) {
@@ -182,6 +204,41 @@ TEST(FrameworkStatusTest, AblationModeReportsPerExplicitSource) {
             SourceStatus::kFailed);
   EXPECT_EQ(by_url.at("http://a.com/sec3/page.htm").status,
             SourceStatus::kOk);
+}
+
+TEST(FrameworkStatusTest, CutAfterADeepRoundReportsItsParentsCancelled) {
+  auto dict = std::make_shared<rdf::Dictionary>();
+  web::Corpus corpus(dict);
+  tests::FillSectionedCorpus(&corpus);  // pages only: no source at a parent
+  rdf::KnowledgeBase kb(dict);
+
+  MidasOptions options;
+  options.cost_model = CostModel::RunningExample();
+  MidasAlg alg(options);
+  fault::CancelToken token;
+  CancelAfterRound executor(&token);
+  FrameworkOptions fw;
+  fw.cancel = &token;
+  fw.executor = &executor;
+  const FrameworkResult result = MidasFramework(&alg, fw).Run(corpus, kb);
+
+  // Every page finished, but the sections they feed never ran: the run is
+  // partial, and each section is reported cancelled.
+  EXPECT_TRUE(result.partial);
+  const auto by_url = ByUrl(result);
+  std::set<std::string> pages;
+  for (const web::WebSource& source : corpus.sources()) {
+    pages.insert(source.url);
+    EXPECT_EQ(by_url.at(source.url).status, SourceStatus::kOk) << source.url;
+    EXPECT_EQ(by_url.at(web::ParentUrlString(source.url)).status,
+              SourceStatus::kCancelled)
+        << source.url;
+  }
+  // The pages' slices are the best-so-far result.
+  EXPECT_FALSE(result.slices.empty());
+  for (const DiscoveredSlice& slice : result.slices) {
+    EXPECT_EQ(pages.count(slice.source_url), 1u) << slice.source_url;
+  }
 }
 
 TEST(FrameworkStatusTest, StatusNamesAreStable) {

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <sys/stat.h>
 #include <vector>
@@ -46,15 +47,10 @@ uint64_t CounterValue(const std::string& name) {
 /// the entry depends on wall-clock deadlines). Entries with `checkpoint`
 /// set run with a checkpoint log, exercising the durable-append path under
 /// the armed faults (append failures must never change the run's result).
-///
-/// gtest prints a parameter without a PrintTo as its raw bytes, and that
-/// dump becomes part of each ctest name. The pointer members come last so
-/// the leading bytes of every name are the same from one test discovery
-/// to the next (pointer values move with address-space randomisation).
-struct MatrixConfig {
-  constexpr MatrixConfig(const char* entry_name, const char* fault_spec,
-                         uint64_t deadline, bool replays_exactly,
-                         bool with_checkpoint = false)
+struct MatrixEntry {
+  constexpr MatrixEntry(const char* entry_name, const char* fault_spec,
+                        uint64_t deadline, bool replays_exactly,
+                        bool with_checkpoint = false)
       : deadline_ms(deadline),
         deterministic(replays_exactly),
         checkpoint(with_checkpoint),
@@ -68,7 +64,7 @@ struct MatrixConfig {
   const char* spec;
 };
 
-const MatrixConfig kMatrix[] = {
+const MatrixEntry kMatrix[] = {
     {"no_fault_no_deadline", "", 0, true},
     {"detector_rate0", "site=detector,rate=0,seed=1", 0, true},
     {"detector_rare", "site=detector,rate=0.05,seed=42", 0, true},
@@ -114,6 +110,36 @@ const MatrixConfig kMatrix[] = {
      "site=io_write_fail,rate=0.5,seed=4;site=detector,rate=0.2,seed=4", 0,
      true, true},
 };
+
+/// The test parameter: one kMatrix row. gtest prints a parameter that has
+/// no PrintTo as its raw bytes, and the test run lists each case as its
+/// name followed by that dump. The entry's dump held its string addresses,
+/// which move with address-space randomisation; this one holds only fixed
+/// bytes. Its leading fields and its size are the entry's, so each listed
+/// name keeps the prefix it always had (a PrintTo of the entry name would
+/// change that prefix for most cases).
+struct MatrixConfig {
+  uint64_t deadline_ms = 0;
+  bool deterministic = false;
+  bool checkpoint = false;
+  uint16_t row = 0;
+  /// Explicit zeros up to the entry's size, so no byte is padding.
+  uint8_t zero_fill[20] = {};
+
+  const MatrixEntry& entry() const { return kMatrix[row]; }
+};
+static_assert(sizeof(MatrixConfig) == sizeof(MatrixEntry));
+
+std::vector<MatrixConfig> MatrixConfigs() {
+  std::vector<MatrixConfig> configs(std::size(kMatrix));
+  for (size_t i = 0; i < configs.size(); ++i) {
+    configs[i].deadline_ms = kMatrix[i].deadline_ms;
+    configs[i].deterministic = kMatrix[i].deterministic;
+    configs[i].checkpoint = kMatrix[i].checkpoint;
+    configs[i].row = static_cast<uint16_t>(i);
+  }
+  return configs;
+}
 
 /// The per-source outcome digest a deterministic replay must reproduce.
 struct RunDigest {
@@ -175,9 +201,9 @@ class FaultMatrixTest : public ::testing::TestWithParam<MatrixConfig> {
     }
     MidasFramework framework(&alg, fw);
 
-    if (config.spec[0] != '\0') {
-      EXPECT_TRUE(
-          fault::FaultInjector::Global().Configure(config.spec).ok());
+    const char* spec = config.entry().spec;
+    if (spec[0] != '\0') {
+      EXPECT_TRUE(fault::FaultInjector::Global().Configure(spec).ok());
     }
     FrameworkResult result = framework.Run(corpus, kb);
     fault::FaultInjector::Global().Disarm();
@@ -275,9 +301,9 @@ TEST_P(FaultMatrixTest, ReplayIsBitIdentical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Matrix, FaultMatrixTest, ::testing::ValuesIn(kMatrix),
+    Matrix, FaultMatrixTest, ::testing::ValuesIn(MatrixConfigs()),
     [](const ::testing::TestParamInfo<MatrixConfig>& info) {
-      return std::string(info.param.name);
+      return std::string(info.param.entry().name);
     });
 
 class FaultFreeBitIdentityTest : public ::testing::Test {

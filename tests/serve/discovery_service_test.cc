@@ -8,16 +8,23 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/corpus_fixture.h"
+#include "midas/core/midas.h"
+#include "midas/core/slice_io.h"
 #include "midas/extract/extraction.h"
 #include "midas/fault/cancel.h"
 #include "midas/fault/fault.h"
+#include "midas/obs/metrics.h"
 #include "midas/rdf/knowledge_base.h"
+#include "midas/synth/corpus_generator.h"
 #include "midas/util/json.h"
+#include "midas/web/url.h"
 #include "midas/web/web_source.h"
 
 namespace midas {
@@ -355,7 +362,382 @@ TEST_F(DiscoveryServiceTest, IngestThenDiscoverMatchesColdRunOverMergedCorpus) {
   EXPECT_EQ(warm.Get("num_slices")->AsInt(), ref.Get("num_slices")->AsInt());
 }
 
+// --- Per-domain reuse over a many-domain corpus -----------------------
+
+constexpr uint64_t kGeneratedSeed = 77;
+
+/// A seeded multi-domain corpus (24 ClosedIE domains, KB included), built
+/// the same way every call so a warm service and a cold reference agree.
+synth::GeneratedCorpus Generate() {
+  return synth::GenerateCorpus(
+      synth::SlimParams(/*open_ie=*/false, /*num_sources=*/24,
+                        kGeneratedSeed));
+}
+
+/// A cold service over the generated corpus with `deltas` applied in order.
+std::unique_ptr<DiscoveryService> MakeColdService(
+    const std::vector<std::vector<extract::RawExtractedFact>>& deltas) {
+  synth::GeneratedCorpus data = Generate();
+  data.corpus->RebuildDedupIndex();
+  for (const auto& delta : deltas) {
+    extract::ApplyFactDelta(delta, 0.7, data.corpus.get());
+  }
+  return std::make_unique<DiscoveryService>(std::move(*data.corpus),
+                                            std::move(*data.kb));
+}
+
+std::string DeltaJson(const std::vector<extract::RawExtractedFact>& delta) {
+  JsonValue facts = JsonValue::Array();
+  for (const auto& f : delta) {
+    JsonValue row = JsonValue::Object();
+    row.Set("url", JsonValue::Str(f.url));
+    row.Set("subject", JsonValue::Str(f.subject));
+    row.Set("predicate", JsonValue::Str(f.predicate));
+    row.Set("object", JsonValue::Str(f.object));
+    facts.Append(std::move(row));
+  }
+  JsonValue body = JsonValue::Object();
+  body.Set("facts", std::move(facts));
+  return body.Dump();
+}
+
+/// Two new entities on `url`, each with two (predicate, object) pairs of
+/// `like`, so the delta can reshape that source's slices.
+std::vector<extract::RawExtractedFact> MakeDelta(
+    const web::WebSource& like, const rdf::Dictionary& dict,
+    const std::string& url, const std::string& tag) {
+  std::vector<extract::RawExtractedFact> delta;
+  for (size_t e = 0; e < 2; ++e) {
+    for (size_t k = 0; k < 2 && k < like.facts.size(); ++k) {
+      const rdf::Triple& t = like.facts[(e + k) % like.facts.size()];
+      extract::RawExtractedFact fact;
+      fact.url = url;
+      fact.subject = tag + "_entity" + std::to_string(e);
+      fact.predicate = dict.Term(t.predicate);
+      fact.object = dict.Term(t.object);
+      delta.push_back(fact);
+    }
+  }
+  return delta;
+}
+
+/// The first source whose URL has path segments (a page, not a host).
+const web::WebSource& SomePage(const web::Corpus& corpus, size_t skip) {
+  for (const web::WebSource& source : corpus.sources()) {
+    if (web::UrlDepth(source.url) >= 2 && skip-- == 0) return source;
+  }
+  return corpus.sources().front();
+}
+
+uint64_t CounterValue(const char* name) {
+#ifndef MIDAS_OBS_NOOP
+  const obs::Counter* c = obs::Registry::Global().FindCounter(name);
+  return c == nullptr ? 0 : c->Value();
+#else
+  (void)name;
+  return 0;
+#endif
+}
+
+/// Slices byte-identical and stats equal to a cold service's; the warm
+/// side's memo hits and misses still add up to its shards.
+void ExpectSameAsCold(const JsonValue& warm, const JsonValue& cold) {
+  EXPECT_FALSE(warm.Get("partial")->AsBool(true));
+  EXPECT_EQ(warm.Get("slices")->Dump(), cold.Get("slices")->Dump());
+  EXPECT_EQ(warm.Get("num_slices")->AsInt(), cold.Get("num_slices")->AsInt());
+  const JsonValue& ws = *warm.Get("stats");
+  const JsonValue& cs = *cold.Get("stats");
+  for (const char* field : {"shards_processed", "detector_calls", "rounds"}) {
+    EXPECT_EQ(ws.Get(field)->AsInt(), cs.Get(field)->AsInt()) << field;
+  }
+  EXPECT_EQ(ws.Get("memo_hits")->AsInt() + ws.Get("memo_misses")->AsInt(),
+            ws.Get("shards_processed")->AsInt());
+}
+
+TEST_F(DiscoveryServiceTest,
+       IncrementalDiscoverMatchesColdServiceAcrossDomains) {
+  const synth::GeneratedCorpus base = Generate();
+  std::set<std::string> roots;
+  for (const auto& source : base.corpus->sources()) {
+    roots.emplace(web::UrlAncestry(source.url).back());
+  }
+  ASSERT_GE(roots.size(), 10u);
+
+  auto warm = MakeColdService({});
+  std::vector<std::vector<extract::RawExtractedFact>> deltas;
+  const char* configs[] = {
+      "{\"cache\":false,\"top_k\":0}",
+      "{\"cache\":false,\"top_k\":0,\"method\":\"greedy\"}",
+      "{\"cache\":false,\"top_k\":0,\"method\":\"naive\",\"f_p\":5}",
+      "{\"cache\":false,\"top_k\":0,\"method\":\"aggcluster\"}",
+      "{\"cache\":false,\"top_k\":0,\"f_c\":0.05}",
+  };
+  size_t step = 0;
+  for (const char* config : configs) {
+    SCOPED_TRACE(config);
+    const HttpRequest discover = MakeRequest("POST", "/discover", config);
+    // Populate this detector's stored results (every domain runs).
+    ParseBody(Call(warm.get(), discover));
+    for (int kind = 0; kind < 3; ++kind, ++step) {
+      SCOPED_TRACE("ingest kind " + std::to_string(kind));
+      const web::WebSource& like = SomePage(*base.corpus, step);
+      const std::string tag = "fresh" + std::to_string(step);
+      std::string url;
+      switch (kind) {
+        case 0:  // an existing page
+          url = like.url;
+          break;
+        case 1:  // a new page of an existing domain
+          url = std::string(web::UrlAncestry(like.url).back()) + "/" + tag +
+                "/page.htm";
+          break;
+        default:  // a brand-new domain
+          url = "http://" + tag + ".example.org/s/page.htm";
+          break;
+      }
+      deltas.push_back(MakeDelta(like, *base.dict, url, tag));
+      const size_t domains = roots.size() + (kind == 2 ? 1 : 0);
+      if (kind == 2) roots.insert("http://" + tag + ".example.org");
+      ASSERT_EQ(Call(warm.get(), MakeRequest("POST", "/ingest",
+                                             DeltaJson(deltas.back())))
+                    .status,
+                200);
+
+      const uint64_t run_before = CounterValue("serve.domains_run");
+      const uint64_t reused_before = CounterValue("serve.domains_reused");
+      const JsonValue incremental = ParseBody(Call(warm.get(), discover));
+#ifndef MIDAS_OBS_NOOP
+      // Only the touched domain re-runs; every other one is reused.
+      EXPECT_EQ(CounterValue("serve.domains_run") - run_before, 1u);
+      EXPECT_EQ(CounterValue("serve.domains_reused") - reused_before,
+                domains - 1);
+#else
+      (void)run_before;
+      (void)reused_before;
+      (void)domains;
+#endif
+      auto cold = MakeColdService(deltas);
+      const JsonValue reference = ParseBody(Call(cold.get(), discover));
+      ExpectSameAsCold(incremental, reference);
+      if (kind == 0 && std::string(config).find("aggcluster") ==
+                           std::string::npos &&
+          std::string(config).find("naive") == std::string::npos) {
+        // Hierarchy methods re-detect the page and its URL ancestors.
+        EXPECT_EQ(incremental.Get("stats")->Get("memo_misses")->AsInt(),
+                  static_cast<int64_t>(web::UrlAncestry(url).size()));
+      }
+    }
+  }
+}
+
+TEST_F(DiscoveryServiceTest, ConcurrentDiscoversAfterIngestAgree) {
+  auto warm = MakeColdService({});
+  const HttpRequest discover =
+      MakeRequest("POST", "/discover", "{\"cache\":false,\"top_k\":0}");
+  ParseBody(Call(warm.get(), discover));
+  const synth::GeneratedCorpus base = Generate();
+  const web::WebSource& like = SomePage(*base.corpus, 0);
+  const std::vector<std::vector<extract::RawExtractedFact>> deltas = {
+      MakeDelta(like, *base.dict, like.url, "concurrent")};
+  ASSERT_EQ(Call(warm.get(),
+                 MakeRequest("POST", "/ingest", DeltaJson(deltas[0])))
+                .status,
+            200);
+
+  HttpResponse responses[2];
+  std::vector<std::thread> threads;
+  for (HttpResponse& response : responses) {
+    threads.emplace_back([&, out = &response] {
+      *out = warm->Handle(discover, token_);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  auto cold = MakeColdService(deltas);
+  const JsonValue reference = ParseBody(Call(cold.get(), discover));
+  for (const HttpResponse& response : responses) {
+    ASSERT_EQ(response.status, 200);
+    ExpectSameAsCold(ParseBody(response), reference);
+  }
+  // Whichever request stored last, the next one reuses every domain.
+  const JsonValue after = ParseBody(Call(warm.get(), discover));
+  ExpectSameAsCold(after, reference);
+  EXPECT_EQ(after.Get("stats")->Get("memo_misses")->AsInt(), 0);
+}
+
+// Unparsable URLs are kept as given, and their ancestries can cross:
+// "foo/bar/" climbs to a depth-0 shard "foo/bar", while "foo/bar" itself is
+// a depth-1 shard under "foo". Both roots then name one domain, so every
+// shard URL (and every slice's source_url) belongs to exactly one domain.
+TEST_F(DiscoveryServiceTest, DomainsSharingAShardUrlAreOne) {
+  const auto fill = [](web::Corpus* corpus) {
+    // Registered in this order, "foo/bar" joins the domains of "foo/bar/"
+    // and "foo" after both exist.
+    for (const char* url :
+         {"foo/bar/", "foo", "foo/bar", "http://b.com/p/q.htm"}) {
+      for (int e = 0; e < 6; ++e) {
+        corpus->AddFactRaw(url, std::string(url) + "#e" + std::to_string(e),
+                           "cat", e < 4 ? "rocket" : "probe");
+      }
+    }
+  };
+  const auto make = [&](bool with_delta) {
+    auto dict = std::make_shared<rdf::Dictionary>();
+    web::Corpus corpus(dict);
+    fill(&corpus);
+    if (with_delta) {
+      for (int e = 0; e < 3; ++e) {
+        corpus.AddFactRaw("foo/bar/", "fresh" + std::to_string(e), "cat",
+                          "probe");
+      }
+    }
+    return std::make_unique<DiscoveryService>(std::move(corpus),
+                                              rdf::KnowledgeBase(dict));
+  };
+  const HttpRequest discover =
+      MakeRequest("POST", "/discover", "{\"cache\":false,\"top_k\":0}");
+
+  // The fold equals one plain framework run over the whole corpus.
+  auto dict = std::make_shared<rdf::Dictionary>();
+  web::Corpus corpus(dict);
+  fill(&corpus);
+  const rdf::KnowledgeBase kb(dict);
+  core::MidasAlg alg{core::MidasOptions{}};
+  const core::FrameworkResult direct =
+      core::MidasFramework(&alg).Run(corpus, kb);
+  auto warm = make(/*with_delta=*/false);
+  const JsonValue cold = ParseBody(Call(warm.get(), discover));
+  EXPECT_EQ(cold.Get("slices")->Dump(),
+            core::SlicesToJson(direct.slices, corpus.dict()).Dump());
+  EXPECT_EQ(cold.Get("stats")->Get("shards_processed")->AsInt(),
+            static_cast<int64_t>(direct.stats.shards_processed));
+
+  std::string delta = "{\"facts\":[";
+  for (int e = 0; e < 3; ++e) {
+    if (e > 0) delta += ",";
+    delta += "{\"url\":\"foo/bar/\",\"subject\":\"fresh" + std::to_string(e) +
+             "\",\"predicate\":\"cat\",\"object\":\"probe\"}";
+  }
+  delta += "]}";
+  ASSERT_EQ(Call(warm.get(), MakeRequest("POST", "/ingest", delta)).status,
+            200);
+  const JsonValue incremental = ParseBody(Call(warm.get(), discover));
+  auto reference = make(/*with_delta=*/true);
+  ExpectSameAsCold(incremental, ParseBody(Call(reference.get(), discover)));
+  // b.com's domain was reused: only the merged foo domain re-detected.
+  EXPECT_GT(incremental.Get("stats")->Get("memo_hits")->AsInt(), 0);
+}
+
 #ifdef MIDAS_FAULT_INJECTION
+
+/// Ingests one delta into an existing page, runs `faulted` under
+/// `fault_spec`, then checks that the next clean /discover re-runs the
+/// touched domain (its shards re-detect: nothing of the faulted run was
+/// stored) and matches a cold service.
+void ExpectFaultedDomainIsRerun(const fault::CancelToken& token,
+                                const char* fault_spec,
+                                const std::string& faulted_body,
+                                bool expect_partial) {
+  auto warm = MakeColdService({});
+  const HttpRequest discover =
+      MakeRequest("POST", "/discover", "{\"cache\":false,\"top_k\":0}");
+  ParseBody(warm->Handle(discover, token));
+  const synth::GeneratedCorpus base = Generate();
+  const web::WebSource& like = SomePage(*base.corpus, 1);
+  const std::vector<std::vector<extract::RawExtractedFact>> deltas = {
+      MakeDelta(like, *base.dict, like.url, "faulted")};
+  ASSERT_EQ(warm->Handle(MakeRequest("POST", "/ingest", DeltaJson(deltas[0])),
+                         token)
+                .status,
+            200);
+  const int64_t ancestry =
+      static_cast<int64_t>(web::UrlAncestry(like.url).size());
+  {
+    fault::ScopedFaultSpec spec(fault_spec);
+    const JsonValue faulted = ParseBody(warm->Handle(
+        MakeRequest("POST", "/discover", faulted_body), token));
+    EXPECT_EQ(faulted.Get("partial")->AsBool(!expect_partial),
+              expect_partial);
+  }
+  const uint64_t run_before = CounterValue("serve.domains_run");
+  const JsonValue after = ParseBody(warm->Handle(discover, token));
+#ifndef MIDAS_OBS_NOOP
+  EXPECT_EQ(CounterValue("serve.domains_run") - run_before, 1u);
+#else
+  (void)run_before;
+#endif
+  auto cold = MakeColdService(deltas);
+  ExpectSameAsCold(after, ParseBody(cold->Handle(discover, token)));
+  EXPECT_EQ(after.Get("stats")->Get("memo_misses")->AsInt(), ancestry)
+      << "the faulted domain's shards must re-detect";
+}
+
+TEST_F(DiscoveryServiceTest, DomainWithFailedShardIsNotReused) {
+  // Every detect throws: the touched domain's re-detected shards end
+  // kFailed (the rest of the domain and every other domain are memo hits or
+  // reused, so never reach the detector).
+  ExpectFaultedDomainIsRerun(token_, "site=detector,rate=1",
+                             "{\"cache\":false,\"top_k\":0}",
+                             /*expect_partial=*/false);
+}
+
+TEST_F(DiscoveryServiceTest, DeadlineCutDomainIsNotReused) {
+  ExpectFaultedDomainIsRerun(token_, "site=slow_shard,delay_ms=50",
+                             "{\"cache\":false,\"top_k\":0,"
+                             "\"deadline_ms\":1}",
+                             /*expect_partial=*/true);
+}
+
+// Every source is a page (host/section/page, nothing at a section or host
+// URL), so a deadline that fires inside the first (page) round leaves some
+// domains with every page finished and no section or host run. None of
+// those may be stored: the next clean /discover must equal a cold one.
+TEST_F(DiscoveryServiceTest, DeadlineCutInsideAPageRoundStoresNothing) {
+  constexpr int kDomains = 12;
+  const auto make = [] {
+    auto dict = std::make_shared<rdf::Dictionary>();
+    web::Corpus corpus(dict);
+    for (int d = 0; d < kDomains; ++d) {
+      for (int p = 0; p < 2; ++p) {
+        const std::string url = "http://d" + std::to_string(d) +
+                                ".com/sec/p" + std::to_string(p) + ".htm";
+        for (int e = 0; e < 6; ++e) {
+          corpus.AddFactRaw(url, url + "#e" + std::to_string(e), "cat",
+                            e < 4 ? "rocket" : "probe");
+        }
+      }
+    }
+    DiscoveryServiceOptions options;
+    options.num_threads = 1;
+    return std::make_unique<DiscoveryService>(
+        std::move(corpus), rdf::KnowledgeBase(dict), options);
+  };
+  auto warm = make();
+  {
+    // 24 pages at 25 ms each on one thread: the 150 ms budget runs out
+    // inside the page round, after the first few domains' pages finished.
+    fault::ScopedFaultSpec spec("site=slow_shard,delay_ms=25");
+    const JsonValue cut = ParseBody(Call(
+        warm.get(),
+        MakeRequest("POST", "/discover",
+                    "{\"cache\":false,\"top_k\":0,\"deadline_ms\":150}")));
+    EXPECT_TRUE(cut.Get("partial")->AsBool(false));
+    EXPECT_GE(cut.Get("stats")->Get("shards_processed")->AsInt(), 2)
+        << "the cut came before any domain finished its pages";
+  }
+  const HttpRequest discover =
+      MakeRequest("POST", "/discover", "{\"cache\":false,\"top_k\":0}");
+  const uint64_t run_before = CounterValue("serve.domains_run");
+  const JsonValue after = ParseBody(Call(warm.get(), discover));
+#ifndef MIDAS_OBS_NOOP
+  EXPECT_EQ(CounterValue("serve.domains_run") - run_before,
+            static_cast<uint64_t>(kDomains));
+#else
+  (void)run_before;
+#endif
+  auto cold = make();
+  ExpectSameAsCold(after, ParseBody(Call(cold.get(), discover)));
+}
 
 TEST_F(DiscoveryServiceTest, PartialResultsAreNeverCached) {
   auto service = MakeService();

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace midas {
 namespace web {
 namespace {
@@ -100,6 +103,23 @@ TEST(UrlStringHelpersTest, UrlDepth) {
   EXPECT_EQ(UrlDepth("http://a.com"), 0u);
   EXPECT_EQ(UrlDepth("http://a.com/x"), 1u);
   EXPECT_EQ(UrlDepth("http://a.com/x/y/z"), 3u);
+}
+
+// UrlAncestry is ParentUrlString applied UrlDepth times, whatever the
+// string — including ones NormalizeUrl keeps as given because it could not
+// parse them.
+TEST(UrlStringHelpersTest, UrlAncestryIsIteratedParentUrlString) {
+  using Chain = std::vector<std::string>;
+  EXPECT_EQ(UrlAncestry("http://a.com/x/y"),
+            (Chain{"http://a.com/x/y", "http://a.com/x", "http://a.com"}));
+  EXPECT_EQ(UrlAncestry("http://a.com"), (Chain{"http://a.com"}));
+  EXPECT_EQ(UrlAncestry("garbage"), (Chain{"garbage"}));
+  EXPECT_EQ(UrlAncestry(""), (Chain{""}));
+  // A trailing slash climbs to a root that is itself a depth-1 string, and
+  // an empty segment counts for no depth.
+  EXPECT_EQ(UrlAncestry("a/b/"), (Chain{"a/b/", "a/b"}));
+  EXPECT_EQ(UrlAncestry("a//b"), (Chain{"a//b", "a/"}));
+  EXPECT_EQ(UrlAncestry("x:///a"), (Chain{"x:///a"}));
 }
 
 }  // namespace

@@ -392,8 +392,10 @@ Status BuildDiscoverSetup(const FlagParser& flags, std::ostream& out,
   }
   setup->detector = spec->make(config);
   setup->hierarchy_rounds = spec->hierarchy_rounds;
-  setup->detector_context = baselines::DetectorContext(
-      spec->token, config.cost_model, flags.GetBool("ranges"), *setup->kb);
+  setup->detector_context =
+      baselines::DetectorContext(spec->token, config.cost_model,
+                                 flags.GetBool("ranges"),
+                                 baselines::HashKbContent(*setup->kb));
   return Status::OK();
 }
 
@@ -721,6 +723,7 @@ Status RunExperiment(const FlagParser& flags, std::ostream& out) {
 
   TablePrinter table({"method", "slices", "precision", "recall", "f-measure",
                       "seconds"});
+  const baselines::KbContentHash kb_hash = baselines::HashKbContent(*data.kb);
   for (const baselines::Method* method : methods) {
     const std::string name = method->suite_name;
     const eval::MethodSpec* spec = suite.Find(name);
@@ -728,7 +731,7 @@ Status RunExperiment(const FlagParser& flags, std::ostream& out) {
     // Each method's checkpoint binds its own detector, so a resumed
     // experiment never restores one method's shards into another's run.
     framework_options.detector_context = baselines::DetectorContext(
-        method->token, cost, /*ranges=*/false, *data.kb);
+        method->token, cost, /*ranges=*/false, kb_hash);
     auto result = eval::RunMethodWithOptions(*spec, *data.corpus, *data.kb,
                                              framework_options);
     auto scores =

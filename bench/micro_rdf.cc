@@ -1,11 +1,17 @@
-// Microbenchmarks for the RDF substrate: dictionary interning, triple-store
-// insertion, membership probes (the profit function's hot call), and
-// pattern queries.
+// Microbenchmarks for the RDF substrate: dictionary interning and lazy
+// indexing, triple-store insertion, membership probes (the profit
+// function's hot call), and TSV KB loading.
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <filesystem>
+#include <optional>
 
 #include "bench_util.h"
 #include "midas/rdf/knowledge_base.h"
+#include "midas/rdf/ntriples.h"
 #include "midas/rdf/triple_store.h"
 #include "midas/util/random.h"
 #include "midas/util/string_util.h"
@@ -79,31 +85,63 @@ void BM_KnowledgeBaseContains(benchmark::State& state) {
 }
 BENCHMARK(BM_KnowledgeBaseContains);
 
-void BM_TripleStoreFreeze(benchmark::State& state) {
-  auto triples = MakeTriples(static_cast<size_t>(state.range(0)), 3);
+// The lazy catch-up after a columnar load: AdoptUnchecked appends the
+// corpus's terms unindexed, and the first Lookup indexes all of them.
+void BM_DictionaryIndexAdopted(benchmark::State& state) {
+  const auto n = static_cast<int>(state.range(0));
+  std::vector<std::string> terms;
+  for (int i = 0; i < n; ++i) {
+    terms.push_back(StringPrintf("http://example.org/entity/%d", i));
+  }
+  std::optional<Dictionary> dict;
   for (auto _ : state) {
     state.PauseTiming();
-    TripleStore store;
-    store.InsertAll(triples);
+    dict.emplace();  // the previous dictionary's teardown stays untimed
+    dict->Reserve(terms.size());
+    for (const auto& t : terms) dict->AdoptUnchecked(t);
     state.ResumeTiming();
-    store.Freeze();
-    benchmark::DoNotOptimize(store.size());
+    benchmark::DoNotOptimize(dict->Lookup(terms[0]));
   }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n);
 }
-BENCHMARK(BM_TripleStoreFreeze)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_DictionaryIndexAdopted)->Arg(100000);
 
-void BM_TripleStorePatternQuery(benchmark::State& state) {
-  TripleStore store;
-  store.InsertAll(MakeTriples(100000, 4));
-  store.Freeze();
-  Rng rng(5);
-  for (auto _ : state) {
-    TriplePattern p;
-    p.predicate = static_cast<TermId>(rng.Uniform(64));
-    benchmark::DoNotOptimize(store.Find(p).size());
+// `midas discover --kb`'s load: parse a 3-column TSV KB and intern its
+// terms into a fresh dictionary, then free both, as a CLI run does at exit.
+void BM_LoadTsvFacts(benchmark::State& state) {
+  const auto n = static_cast<size_t>(state.range(0));
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       StringPrintf("midas_micro_rdf_%d.tsv", static_cast<int>(::getpid())))
+          .string();
+  {
+    Dictionary dict;
+    std::vector<Triple> triples;
+    for (const Triple& t : MakeTriples(n, 6)) {
+      triples.emplace_back(
+          dict.Intern(StringPrintf("http://example.org/entity/%u", t.subject)),
+          dict.Intern(StringPrintf("predicate_%u", t.predicate)),
+          dict.Intern(StringPrintf("value %u", t.object)));
+    }
+    if (!SaveTsvFacts(path, dict, triples).ok()) {
+      state.SkipWithError("cannot write the TSV KB");
+      return;
+    }
   }
+  for (auto _ : state) {
+    Dictionary dict;
+    std::vector<Triple> facts;
+    if (!LoadTsvFacts(path, &dict, &facts).ok()) {
+      state.SkipWithError("LoadTsvFacts failed");
+      break;
+    }
+    benchmark::DoNotOptimize(facts.data());
+  }
+  std::remove(path.c_str());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
 }
-BENCHMARK(BM_TripleStorePatternQuery);
+BENCHMARK(BM_LoadTsvFacts)->Arg(100000);
 
 }  // namespace
 }  // namespace rdf

@@ -1,27 +1,37 @@
 #include "midas/rdf/dictionary.h"
 
+#include <functional>
+
 #include "midas/util/logging.h"
 
 namespace midas {
 namespace rdf {
 
+TermId Dictionary::IndexTerm(std::string_view term, TermId next) const {
+  return index_.FindOrInsert(
+      std::hash<std::string_view>{}(term), next,
+      [this, term](TermId id) { return terms_[id] == term; });
+}
+
 TermId Dictionary::Intern(std::string_view term) {
   EnsureIndexed();
-  auto it = index_.find(term);
-  if (it != index_.end()) return it->second;
   MIDAS_CHECK_LT(terms_.size(), kInvalidTermId) << "dictionary overflow";
-  TermId id = static_cast<TermId>(terms_.size());
-  terms_.emplace_back(term);
-  index_.emplace(terms_.back(), id);
-  indexed_ = terms_.size();
+  const auto next = static_cast<TermId>(terms_.size());
+  const TermId id = IndexTerm(term, next);
+  if (id == next) {
+    terms_.emplace_back(term);
+    indexed_ = terms_.size();
+  }
   return id;
 }
 
 std::optional<TermId> Dictionary::Lookup(std::string_view term) const {
   EnsureIndexed();
-  auto it = index_.find(term);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
+  const TermId id =
+      index_.Find(std::hash<std::string_view>{}(term),
+                  [this, term](TermId other) { return terms_[other] == term; });
+  if (id == IdHashIndex::kNone) return std::nullopt;
+  return id;
 }
 
 TermId Dictionary::AdoptUnchecked(std::string_view term) {
@@ -33,18 +43,12 @@ TermId Dictionary::AdoptUnchecked(std::string_view term) {
 
 void Dictionary::EnsureIndexed() const {
   if (indexed_ == terms_.size()) return;
-  index_.reserve(terms_.size());
-  while (indexed_ < terms_.size()) {
-    index_.emplace(terms_[indexed_], static_cast<TermId>(indexed_));
-    ++indexed_;
+  index_.Reserve(terms_.size());
+  // A duplicate adopted against the contract keeps resolving to its first
+  // id, as FindOrInsert leaves the earlier entry in place.
+  for (; indexed_ < terms_.size(); ++indexed_) {
+    IndexTerm(terms_[indexed_], static_cast<TermId>(indexed_));
   }
-}
-
-size_t Dictionary::MemoryUsageBytes() const {
-  size_t bytes = terms_.capacity() * sizeof(std::string);
-  for (const auto& t : terms_) bytes += t.capacity();
-  bytes += index_.size() * (sizeof(std::string) + sizeof(TermId) + 16);
-  return bytes;
 }
 
 }  // namespace rdf

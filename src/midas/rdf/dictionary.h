@@ -6,8 +6,9 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
+
+#include "midas/rdf/id_hash_index.h"
 
 namespace midas {
 namespace rdf {
@@ -55,25 +56,19 @@ class Dictionary {
   /// Number of distinct terms.
   size_t size() const { return terms_.size(); }
 
-  /// Approximate heap footprint in bytes (terms + index).
-  size_t MemoryUsageBytes() const;
-
  private:
   /// Indexes terms_[indexed_..size) — the tail AdoptUnchecked appended.
   void EnsureIndexed() const;
 
+  /// Returns the id recording `term` in index_ (`next` if it was absent).
+  TermId IndexTerm(std::string_view term, TermId next) const;
+
   std::vector<std::string> terms_;
-  // Heterogeneous lookup so Lookup(string_view) does not allocate. Mutable
-  // with indexed_: the index is a lazily maintained cache over terms_, and
+  // Term ids keyed by their strings in terms_, probed by string_view, so
+  // Lookup never allocates and no term is stored twice. Mutable with
+  // indexed_: the index is a lazily maintained cache over terms_, and
   // Lookup (const) may have to catch it up after AdoptUnchecked.
-  struct StringHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  mutable std::unordered_map<std::string, TermId, StringHash, std::equal_to<>>
-      index_;
+  mutable IdHashIndex index_;
   mutable size_t indexed_ = 0;
 };
 

@@ -17,9 +17,9 @@ namespace rdf {
 /// Freebase). Built over a Dictionary shared with the extraction corpus so
 /// that membership tests compare dense ids, never strings.
 ///
-/// The slice-discovery hot path asks exactly one question — Contains() — so
-/// the KB keeps a hash set; the full TripleStore interface remains available
-/// for examples and downstream queries.
+/// Slice discovery asks the KB exactly one question — Contains(), from the
+/// profit function (Def. 9) — so the KB is a TripleStore: the facts in
+/// load order plus a flat hash index over them, and nothing else.
 class KnowledgeBase {
  public:
   /// Creates a KB over `dict`. An empty KB (paper's ReVerb/NELL setting) is
@@ -46,11 +46,6 @@ class KnowledgeBase {
   /// Number of facts.
   size_t size() const { return store_.size(); }
   bool empty() const { return store_.empty(); }
-
-  /// Pattern queries (for examples / downstream use).
-  std::vector<Triple> Find(const TriplePattern& pattern) {
-    return store_.Find(pattern);
-  }
 
   const Dictionary& dict() const { return *dict_; }
   const std::shared_ptr<Dictionary>& shared_dict() const { return dict_; }

@@ -1,174 +1,24 @@
 #include "midas/rdf/triple_store.h"
 
-#include <algorithm>
-#include <unordered_set>
-
 #include "midas/util/logging.h"
 
 namespace midas {
 namespace rdf {
 
-namespace {
-
-// Key extraction per permutation order: returns (first, second, third).
-std::tuple<TermId, TermId, TermId> KeyOf(const Triple& t,
-                                         int order /*0=spo,1=pos,2=osp*/) {
-  switch (order) {
-    case 0:
-      return {t.subject, t.predicate, t.object};
-    case 1:
-      return {t.predicate, t.object, t.subject};
-    default:
-      return {t.object, t.subject, t.predicate};
-  }
-}
-
-}  // namespace
-
 bool TripleStore::Insert(const Triple& t) {
-  auto [it, inserted] = set_.insert(t);
-  (void)it;
-  if (inserted) {
-    triples_.push_back(t);
-    frozen_ = false;
-  }
-  return inserted;
+  MIDAS_CHECK_LT(triples_.size(), IdHashIndex::kNone) << "triple store full";
+  const auto next = static_cast<uint32_t>(triples_.size());
+  const uint32_t pos = index_.FindOrInsert(
+      TripleHash{}(t), next,
+      [this, &t](uint32_t other) { return triples_[other] == t; });
+  if (pos != next) return false;
+  triples_.push_back(t);
+  return true;
 }
 
 void TripleStore::InsertAll(const std::vector<Triple>& triples) {
+  index_.Reserve(triples_.size() + triples.size());
   for (const Triple& t : triples) Insert(t);
-}
-
-void TripleStore::Freeze() {
-  if (frozen_) return;
-  auto build = [this](std::vector<uint32_t>* index, int order) {
-    index->resize(triples_.size());
-    for (uint32_t i = 0; i < triples_.size(); ++i) (*index)[i] = i;
-    std::sort(index->begin(), index->end(),
-              [this, order](uint32_t a, uint32_t b) {
-                return KeyOf(triples_[a], order) < KeyOf(triples_[b], order);
-              });
-  };
-  build(&spo_, 0);
-  build(&pos_, 1);
-  build(&osp_, 2);
-  frozen_ = true;
-}
-
-std::pair<std::vector<uint32_t>::const_iterator,
-          std::vector<uint32_t>::const_iterator>
-TripleStore::PrefixRange(Order order, const TriplePattern& pattern) const {
-  // Builds the bound prefix (key1[, key2]) for the chosen order and binary
-  // searches the permutation index.
-  const std::vector<uint32_t>* index = nullptr;
-  TermId k1 = kInvalidTermId, k2 = kInvalidTermId;
-  int order_int = 0;
-  switch (order) {
-    case Order::kSpo:
-      index = &spo_;
-      order_int = 0;
-      k1 = pattern.subject;
-      k2 = pattern.predicate;
-      break;
-    case Order::kPos:
-      index = &pos_;
-      order_int = 1;
-      k1 = pattern.predicate;
-      k2 = pattern.object;
-      break;
-    case Order::kOsp:
-      index = &osp_;
-      order_int = 2;
-      k1 = pattern.object;
-      k2 = pattern.subject;
-      break;
-  }
-  MIDAS_CHECK(k1 != kInvalidTermId);
-
-  auto cmp_first = [this, order_int](uint32_t pos, TermId key) {
-    return std::get<0>(KeyOf(triples_[pos], order_int)) < key;
-  };
-  auto begin =
-      std::lower_bound(index->begin(), index->end(), k1, cmp_first);
-  auto end = std::upper_bound(
-      begin, index->end(), k1, [this, order_int](TermId key, uint32_t pos) {
-        return key < std::get<0>(KeyOf(triples_[pos], order_int));
-      });
-  if (k2 == kInvalidTermId) return {begin, end};
-
-  auto cmp_second = [this, order_int](uint32_t pos, TermId key) {
-    return std::get<1>(KeyOf(triples_[pos], order_int)) < key;
-  };
-  auto begin2 = std::lower_bound(begin, end, k2, cmp_second);
-  auto end2 = std::upper_bound(
-      begin2, end, k2, [this, order_int](TermId key, uint32_t pos) {
-        return key < std::get<1>(KeyOf(triples_[pos], order_int));
-      });
-  return {begin2, end2};
-}
-
-std::vector<Triple> TripleStore::Find(const TriplePattern& pattern) {
-  Freeze();
-  std::vector<Triple> out;
-
-  // Fully-bound pattern: hash probe.
-  if (pattern.subject != kInvalidTermId &&
-      pattern.predicate != kInvalidTermId &&
-      pattern.object != kInvalidTermId) {
-    Triple t{pattern.subject, pattern.predicate, pattern.object};
-    if (Contains(t)) out.push_back(t);
-    return out;
-  }
-
-  // Fully-unbound pattern: everything.
-  if (pattern.subject == kInvalidTermId &&
-      pattern.predicate == kInvalidTermId &&
-      pattern.object == kInvalidTermId) {
-    return triples_;
-  }
-
-  // Choose the index whose sorted prefix covers the bound positions.
-  Order order;
-  if (pattern.subject != kInvalidTermId) {
-    order = Order::kSpo;  // covers S and SP
-    if (pattern.predicate == kInvalidTermId &&
-        pattern.object != kInvalidTermId) {
-      order = Order::kOsp;  // OS prefix
-    }
-  } else if (pattern.predicate != kInvalidTermId) {
-    order = Order::kPos;  // covers P and PO
-  } else {
-    order = Order::kOsp;  // O only
-  }
-
-  auto [begin, end] = PrefixRange(order, pattern);
-  for (auto it = begin; it != end; ++it) {
-    const Triple& t = triples_[*it];
-    if (pattern.Matches(t)) out.push_back(t);
-  }
-  return out;
-}
-
-size_t TripleStore::Count(const TriplePattern& pattern) {
-  return Find(pattern).size();
-}
-
-size_t TripleStore::NumDistinctSubjects() const {
-  std::unordered_set<TermId> seen;
-  for (const Triple& t : triples_) seen.insert(t.subject);
-  return seen.size();
-}
-
-size_t TripleStore::NumDistinctPredicates() const {
-  std::unordered_set<TermId> seen;
-  for (const Triple& t : triples_) seen.insert(t.predicate);
-  return seen.size();
-}
-
-size_t TripleStore::NumDistinctObjects() const {
-  std::unordered_set<TermId> seen;
-  for (const Triple& t : triples_) seen.insert(t.object);
-  return seen.size();
 }
 
 }  // namespace rdf

@@ -2,36 +2,20 @@
 #define MIDAS_RDF_TRIPLE_STORE_H_
 
 #include <cstddef>
-#include <unordered_set>
 #include <vector>
 
+#include "midas/rdf/id_hash_index.h"
 #include "midas/rdf/triple.h"
 
 namespace midas {
 namespace rdf {
 
-/// A triple pattern with optional wildcards (kInvalidTermId == wildcard).
-struct TriplePattern {
-  TermId subject = kInvalidTermId;
-  TermId predicate = kInvalidTermId;
-  TermId object = kInvalidTermId;
-
-  /// True iff `t` matches every bound position.
-  bool Matches(const Triple& t) const {
-    return (subject == kInvalidTermId || subject == t.subject) &&
-           (predicate == kInvalidTermId || predicate == t.predicate) &&
-           (object == kInvalidTermId || object == t.object);
-  }
-};
-
-/// In-memory triple store with SPO / POS / OSP sorted indexes.
+/// In-memory set of distinct triples that keeps their insertion order.
 ///
-/// Writes go to an insertion log with duplicate suppression; Freeze() builds
-/// the three permutation indexes, after which pattern queries choose the
-/// index whose prefix covers the most bound positions (classic hexastore-
-/// style layout, trimmed to the three permutations needed for single-triple
-/// patterns). Insertions after Freeze() automatically invalidate the indexes
-/// and the next query re-freezes.
+/// The triples live in one insertion-ordered vector; an open-addressed
+/// index of positions into it answers Contains() and suppresses
+/// duplicates on Insert(). MIDAS asks the KB nothing else (DESIGN.md §1),
+/// so there are no pattern indexes to build or keep current.
 class TripleStore {
  public:
   TripleStore() = default;
@@ -42,8 +26,12 @@ class TripleStore {
   /// Bulk insert.
   void InsertAll(const std::vector<Triple>& triples);
 
-  /// True iff the exact triple is present. O(1) expected.
-  bool Contains(const Triple& t) const { return set_.count(t) > 0; }
+  /// True iff the exact triple is present. O(1) expected; never allocates.
+  bool Contains(const Triple& t) const {
+    return index_.Find(TripleHash{}(t), [this, &t](uint32_t pos) {
+             return triples_[pos] == t;
+           }) != IdHashIndex::kNone;
+  }
 
   /// Number of distinct triples.
   size_t size() const { return triples_.size(); }
@@ -52,38 +40,9 @@ class TripleStore {
   /// All triples, insertion order.
   const std::vector<Triple>& triples() const { return triples_; }
 
-  /// Builds the permutation indexes; idempotent.
-  void Freeze();
-
-  /// Returns all triples matching `pattern`, using the best index. Freezes
-  /// on first use if needed (hence non-const).
-  std::vector<Triple> Find(const TriplePattern& pattern);
-
-  /// Count without materializing. Freezes on first use if needed.
-  size_t Count(const TriplePattern& pattern);
-
-  /// Distinct subjects / predicates / objects.
-  size_t NumDistinctSubjects() const;
-  size_t NumDistinctPredicates() const;
-  size_t NumDistinctObjects() const;
-
  private:
-  enum class Order { kSpo, kPos, kOsp };
-
-  // Returns [begin, end) range over the chosen index for the pattern's
-  // bound prefix, plus which order was used.
-  std::pair<std::vector<uint32_t>::const_iterator,
-            std::vector<uint32_t>::const_iterator>
-  PrefixRange(Order order, const TriplePattern& pattern) const;
-
   std::vector<Triple> triples_;
-  std::unordered_set<Triple, TripleHash> set_;
-
-  bool frozen_ = false;
-  // Index vectors hold positions into triples_, sorted by the permutation.
-  std::vector<uint32_t> spo_;
-  std::vector<uint32_t> pos_;
-  std::vector<uint32_t> osp_;
+  IdHashIndex index_;  // positions into triples_
 };
 
 }  // namespace rdf

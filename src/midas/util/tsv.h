@@ -28,7 +28,11 @@ std::vector<std::string> TsvParseRow(std::string_view line);
 
 /// Streams a TSV file row by row. `callback` receives the 0-based row index
 /// and the unescaped fields; returning a non-OK status aborts the scan and
-/// is propagated. Blank lines and lines starting with '#' are skipped.
+/// is propagated. Blank lines and lines starting with '#' are skipped, and
+/// a trailing '\r' is dropped. The file is scanned through a fixed read
+/// buffer (grown only for a line longer than it), never held whole, and
+/// one field vector is reused across rows: `fields` is valid only during
+/// its callback, and a row of repeated widths allocates nothing.
 Status TsvReadFile(
     const std::string& path,
     const std::function<Status(size_t row, const std::vector<std::string>&)>&

@@ -63,15 +63,6 @@ TEST_F(KnowledgeBaseTest, AddAllBulk) {
   EXPECT_EQ(kb_.size(), 100u);
 }
 
-TEST_F(KnowledgeBaseTest, FindPatternQueries) {
-  kb_.Add("alice", "knows", "bob");
-  kb_.Add("alice", "knows", "carol");
-  kb_.Add("bob", "knows", "carol");
-  TriplePattern p;
-  p.subject = *dict_->Lookup("alice");
-  EXPECT_EQ(kb_.Find(p).size(), 2u);
-}
-
 }  // namespace
 }  // namespace rdf
 }  // namespace midas

@@ -22,6 +22,7 @@
 #include "midas/eval/summary.h"
 #include "midas/fault/fault.h"
 #include "midas/obs/export.h"
+#include "midas/obs/obs.h"
 #include "midas/extract/cleaning.h"
 #include "midas/extract/columnar_io.h"
 #include "midas/extract/dump_io.h"
@@ -304,13 +305,11 @@ struct DiscoverSetup {
   uint64_t detector_context = 0;
 };
 
-Status BuildDiscoverSetup(const FlagParser& flags, std::ostream& out,
+/// Loads --dump into setup->dump and setup->corpus (BuildDiscoverSetup's
+/// "extract.load" span).
+Status LoadDiscoverCorpus(const FlagParser& flags, std::ostream& out,
                           DiscoverSetup* setup) {
-  if (flags.GetString("dump").empty()) {
-    return Status::InvalidArgument("--dump is required");
-  }
   const bool json = flags.GetBool("json");
-
   const std::string dump_path = flags.GetString("dump");
   if (extract::IsColumnarDump(dump_path) && !flags.GetBool("clean")) {
     // Columnar fast path: build the confidence-filtered corpus straight
@@ -357,9 +356,23 @@ Status BuildDiscoverSetup(const FlagParser& flags, std::ostream& out,
     setup->corpus =
         extract::BuildCorpus(setup->dump, flags.GetDouble("threshold"));
   }
+  return Status::OK();
+}
+
+Status BuildDiscoverSetup(const FlagParser& flags, std::ostream& out,
+                          DiscoverSetup* setup) {
+  if (flags.GetString("dump").empty()) {
+    return Status::InvalidArgument("--dump is required");
+  }
+  const bool json = flags.GetBool("json");
+  {
+    MIDAS_OBS_SPAN(load_span, "extract.load", flags.GetString("dump"));
+    MIDAS_RETURN_IF_ERROR(LoadDiscoverCorpus(flags, out, setup));
+  }
 
   setup->kb = std::make_unique<rdf::KnowledgeBase>(setup->dump.dict);
   if (!flags.GetString("kb").empty()) {
+    MIDAS_OBS_SPAN(kb_span, "rdf.kb_load", flags.GetString("kb"));
     MIDAS_RETURN_IF_ERROR(LoadKbFacts(flags.GetString("kb"), setup->kb.get(),
                                       setup->dump.dict.get()));
   }

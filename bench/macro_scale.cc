@@ -5,10 +5,6 @@
 //   MacroColumnarLoad/N  — columnar file -> confidence-filtered Corpus,
 //   MacroTsvLoad/N       — the same corpus through the TSV dump parser
 //                          (LoadDump + BuildCorpus), for the speedup claim,
-//   MacroParallelLoad/N  — the same columnar -> Corpus load on a thread
-//                          pool (--load_threads), bit-identical to serial,
-//   MacroSubsetLoad/N    — ~1% of sources materialized via the source-range
-//                          index instead of loading + filtering the file,
 //   MacroDiscover/N      — end-to-end MIDAS discovery over the corpus.
 // Emits a google-benchmark-schema JSON artifact (--json or the
 // MIDAS_BENCH_JSON environment variable) so scripts/compare_bench.py can
@@ -37,7 +33,6 @@
 #include "midas/extract/columnar_io.h"
 #include "midas/extract/dump_io.h"
 #include "midas/rdf/knowledge_base.h"
-#include "midas/store/columnar.h"
 #include "midas/synth/corpus_generator.h"
 #include "midas/util/flags.h"
 #include "midas/util/json.h"
@@ -221,117 +216,6 @@ Status RunScale(uint64_t num_facts, const FlagParser& flags,
             << FormatDouble(columnar_ms / 1000.0, 3) << "s\n";
   rows->push_back(std::move(col_row));
 
-  // --- Parallel columnar load (same corpus, thread pool). ---------------
-  {
-    size_t load_threads = static_cast<size_t>(flags.GetInt64("load_threads"));
-    if (load_threads == 0) load_threads = NumCpus();
-    double par_wall_ms = 0, par_cpu_ms = 0;
-    size_t par_facts = 0, par_sources = 0;
-    for (int64_t rep = 0; rep < load_reps; ++rep) {
-      // Fresh reader per rep: the parallel path settles the lazily-deferred
-      // CRC work itself (on the pool), so open + verify + decode are all
-      // inside the timed region, exactly like the serial phase above.
-      store::ColumnarReader reader;
-      store::ColumnarReadOptions read_options;
-      read_options.lazy_verify = true;
-      web::Corpus parallel_corpus;
-      extract::ColumnarLoadOptions load_options;
-      load_options.threshold = threshold;
-      load_options.num_threads = load_threads;
-      timer.Restart();
-      MIDAS_RETURN_IF_ERROR(reader.Open(col_path, read_options));
-      MIDAS_RETURN_IF_ERROR(extract::LoadColumnarCorpusFromReader(
-          &reader, load_options, &parallel_corpus));
-      if (rep == 0 || timer.WallMs() < par_wall_ms) {
-        par_wall_ms = timer.WallMs();
-        par_cpu_ms = timer.CpuMs();
-      }
-      par_facts = parallel_corpus.NumFacts();
-      par_sources = parallel_corpus.NumSources();
-    }
-    if (par_facts != corpus.NumFacts() || par_sources != corpus.NumSources()) {
-      return Status::Internal(
-          "parallel and serial columnar loads disagree on the corpus shape");
-    }
-    BenchRow par_row{"MacroParallelLoad/" + suffix, par_wall_ms, par_cpu_ms,
-                     {}, load_threads};
-    const double par_speedup = par_wall_ms > 0 ? columnar_ms / par_wall_ms : 0;
-    par_row.counters.emplace_back("load_threads",
-                                  static_cast<double>(load_threads));
-    par_row.counters.emplace_back("parallel_speedup", par_speedup);
-    std::cout << par_row.name << ": " << par_facts << " facts on "
-              << load_threads << " threads in "
-              << FormatDouble(par_wall_ms / 1000.0, 3) << "s ("
-              << FormatDouble(par_speedup, 1) << "x over serial)\n";
-    rows->push_back(std::move(par_row));
-    const double min_parallel = flags.GetDouble("min_parallel_speedup");
-    if (min_parallel > 0 && par_speedup < min_parallel) {
-      return Status::Internal(StringPrintf(
-          "parallel load speedup %.1fx below the required %.1fx", par_speedup,
-          min_parallel));
-    }
-  }
-
-  // --- Subset load: ~1% of sources via the source-range index. ----------
-  {
-    store::ColumnarReader reader;
-    store::ColumnarReadOptions read_options;
-    read_options.lazy_verify = true;
-    MIDAS_RETURN_IF_ERROR(reader.Open(col_path, read_options));
-    if (!reader.has_source_index()) {
-      return Status::Internal(
-          "generated columnar file carries no source index");
-    }
-    // Every 100th url code: ~1% of sources, spread across the file. The
-    // generator emits distinct normalized URLs, so codes are canon groups.
-    std::vector<uint32_t> url_codes;
-    for (uint32_t code = 0; code < reader.num_urls(); code += 100) {
-      url_codes.push_back(code);
-    }
-    double sub_wall_ms = 0, sub_cpu_ms = 0;
-    size_t sub_facts = 0, sub_sources = 0;
-    for (int64_t rep = 0; rep < load_reps; ++rep) {
-      // Fresh reader per rep, so mapping + structural validation is paid
-      // inside the timed region here too; the full-load comparison is
-      // wall-to-wall either way.
-      store::ColumnarReader sub_reader;
-      web::Corpus subset;
-      extract::ColumnarLoadOptions load_options;
-      load_options.threshold = threshold;
-      timer.Restart();
-      MIDAS_RETURN_IF_ERROR(sub_reader.Open(col_path, read_options));
-      MIDAS_RETURN_IF_ERROR(extract::LoadColumnarCorpusSubset(
-          &sub_reader, url_codes, load_options, &subset));
-      if (rep == 0 || timer.WallMs() < sub_wall_ms) {
-        sub_wall_ms = timer.WallMs();
-        sub_cpu_ms = timer.CpuMs();
-      }
-      sub_facts = subset.NumFacts();
-      sub_sources = subset.NumSources();
-    }
-    BenchRow sub_row{"MacroSubsetLoad/" + suffix, sub_wall_ms, sub_cpu_ms, {}};
-    // Against the serial full load: a full-load-then-filter baseline costs
-    // at least the full load, so this underestimates the true ratio.
-    const double sub_speedup = sub_wall_ms > 0 ? columnar_ms / sub_wall_ms : 0;
-    sub_row.counters.emplace_back("subset_sources",
-                                  static_cast<double>(sub_sources));
-    sub_row.counters.emplace_back("subset_facts",
-                                  static_cast<double>(sub_facts));
-    sub_row.counters.emplace_back("subset_speedup", sub_speedup);
-    std::cout << sub_row.name << ": " << sub_sources << " of "
-              << corpus.NumSources() << " sources (" << sub_facts
-              << " facts) in " << FormatDouble(sub_wall_ms / 1000.0, 4)
-              << "s (" << FormatDouble(sub_speedup, 1)
-              << "x over full load)\n";
-    rows->push_back(std::move(sub_row));
-    const double min_subset = flags.GetDouble("min_subset_speedup");
-    if (min_subset > 0 && sub_speedup < min_subset) {
-      return Status::Internal(StringPrintf(
-          "subset load speedup %.1fx below the required %.1fx", sub_speedup,
-          min_subset));
-    }
-  }
-
   // --- TSV comparison load (the format the seed repo shipped). ----------
   const uint64_t tsv_max = static_cast<uint64_t>(flags.GetInt64("tsv_max"));
   if (num_facts <= tsv_max) {
@@ -481,14 +365,6 @@ int main(int argc, char** argv) {
   flags.AddDouble("min_speedup", 0.0,
                   "fail unless columnar load is at least this many times "
                   "faster than the TSV parse (0 = report only)");
-  flags.AddInt64("load_threads", 0,
-                 "threads for MacroParallelLoad (0 = hardware)");
-  flags.AddDouble("min_parallel_speedup", 0.0,
-                  "fail unless the parallel columnar load beats the serial "
-                  "one by this factor (0 = report only)");
-  flags.AddDouble("min_subset_speedup", 0.0,
-                  "fail unless the 1%-of-sources subset load beats the full "
-                  "load by this factor (0 = report only)");
   flags.AddInt64("threads", 0, "framework threads (0 = hardware)");
   flags.AddInt64("seed", 42, "generator seed");
   flags.AddBool("keep", false, "keep the generated corpus files");

@@ -11,20 +11,22 @@ namespace core {
 
 Status SaveSlices(const std::string& path, const rdf::Dictionary& dict,
                   const std::vector<DiscoveredSlice>& slices) {
-  std::vector<std::vector<std::string>> rows;
+  std::string contents;
   for (const auto& slice : slices) {
-    rows.push_back({"S", slice.source_url, FormatDouble(slice.profit, 6),
-                    std::to_string(slice.num_new_facts)});
+    TsvAppendRow({"S", slice.source_url, FormatDouble(slice.profit, 6),
+                  std::to_string(slice.num_new_facts)},
+                 &contents);
     for (const auto& prop : slice.properties) {
-      rows.push_back(
-          {"P", dict.Term(prop.predicate), dict.Term(prop.value)});
+      TsvAppendRow({"P", dict.Term(prop.predicate), dict.Term(prop.value)},
+                   &contents);
     }
     for (const auto& fact : slice.facts) {
-      rows.push_back({"F", dict.Term(fact.subject),
-                      dict.Term(fact.predicate), dict.Term(fact.object)});
+      TsvAppendRow({"F", dict.Term(fact.subject), dict.Term(fact.predicate),
+                    dict.Term(fact.object)},
+                   &contents);
     }
   }
-  return TsvWriteFile(path, rows);
+  return TsvWriteFile(path, contents);
 }
 
 Status LoadSlices(const std::string& path, rdf::Dictionary* dict,

@@ -1,6 +1,5 @@
 #include "midas/extract/columnar_io.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string_view>
@@ -11,7 +10,6 @@
 #include "midas/rdf/triple.h"
 #include "midas/store/columnar.h"
 #include "midas/util/status.h"
-#include "midas/util/thread_pool.h"
 #include "midas/web/url.h"
 
 namespace midas {
@@ -240,7 +238,7 @@ constexpr uint32_t kNoCanon = std::numeric_limits<uint32_t>::max();
 
 /// Canonical source id per URL code: Corpus keys sources by the exact
 /// normalized URL, so distinct codes whose URLs normalize equal must share
-/// an id for the run detection below.
+/// an id for the contiguity test below.
 std::vector<uint32_t> BuildCanonMap(const std::vector<std::string>& urls,
                                     uint32_t* num_canon) {
   *num_canon = 0;
@@ -255,53 +253,28 @@ std::vector<uint32_t> BuildCanonMap(const std::vector<std::string>& urls,
   return canon;
 }
 
-/// One maximal run of records sharing a canonical source.
-struct CanonRun {
-  uint32_t canon = 0;
-  uint32_t first_code = 0;  // url code of the run's first record
-  uint64_t first = 0;
-  uint64_t last = 0;
-};
-
-/// One sequential pass decides the dedup strategy: when every source's
+/// One sequential pass decides the dedup strategy: true iff every source's
 /// records form a single contiguous run (true of every file this repo's
 /// writers produce, and of any TSV conversion that preserved record order),
-/// a per-run dedup table replaces the global one and runs can decode in
-/// parallel. Returns true and the run list (which partitions
-/// [0, num_records)) iff contiguous; also false on any out-of-range url
-/// code, leaving the error report to the serial fallback's full check.
-bool CollectCanonRuns(const uint32_t* url_codes, uint64_t n,
-                      const std::vector<uint32_t>& canon, uint32_t num_canon,
-                      std::vector<CanonRun>* runs) {
-  runs->clear();
+/// in which case a per-run dedup table replaces the global one.
+bool SourceContiguous(const uint32_t* url_codes, uint64_t n,
+                      const std::vector<uint32_t>& canon, uint32_t num_canon) {
   std::vector<uint8_t> seen(num_canon, 0);
   uint32_t cur = kNoCanon;
   for (uint64_t i = 0; i < n; ++i) {
-    if (url_codes[i] >= canon.size()) {
-      runs->clear();
-      return false;
-    }
     const uint32_t c = canon[url_codes[i]];
-    if (c == cur) {
-      runs->back().last = i + 1;
-      continue;
-    }
-    if (seen[c]) {
-      runs->clear();
-      return false;
-    }
+    if (c == cur) continue;
+    if (seen[c]) return false;
     seen[c] = 1;
     cur = c;
-    runs->push_back(CanonRun{c, url_codes[i], i, i + 1});
   }
   return true;
 }
 
-/// The serial corpus build over a verified reader — the reference the
-/// parallel and subset paths are pinned bit-identical to. Sources are
-/// created lazily on their first surviving fact, so source order (and the
-/// absence of all-filtered sources) matches what BuildCorpus produces from
-/// the same records — discovery output is identical between the two paths.
+/// The corpus build over a verified reader. Sources are created lazily on
+/// their first surviving fact, so source order (and the absence of
+/// all-filtered sources) matches what BuildCorpus produces from the same
+/// records — discovery output is identical between the two paths.
 void LoadCorpusSerial(const store::ColumnarReader& reader,
                       const std::vector<rdf::TermId>& remap,
                       const std::vector<std::string>& urls,
@@ -388,249 +361,23 @@ void LoadCorpusSerial(const store::ColumnarReader& reader,
   }
 }
 
-/// Parallel corpus build over canon runs: each chunk of consecutive runs
-/// decodes + dedups independently (per-run dedup is embarrassingly
-/// parallel once chunks split only at run boundaries), then a serial merge
-/// walks chunks in record order — source creation order and per-source
-/// fact order are exactly the serial path's.
-Status LoadCorpusParallel(store::ColumnarReader* reader,
-                          const std::vector<rdf::TermId>& remap,
-                          const std::vector<std::string>& urls,
-                          const std::vector<CanonRun>& runs,
-                          uint32_t num_canon, double threshold,
-                          size_t num_threads, web::Corpus* corpus) {
-  const double* conf = reader->confidences();
-  const uint32_t* subjects = reader->subjects();
-  const uint32_t* predicates = reader->predicates();
-  const uint32_t* objects = reader->objects();
-  const uint64_t n = reader->num_records();
-
-  ThreadPool pool(num_threads);
-
-  // Settle lazily-deferred section CRCs in parallel (memoized; no-op after
-  // an eager open).
-  Status section_status[store::kColumnarNumSections];
-  pool.ParallelFor(store::kColumnarNumSections, [&](size_t s) {
-    section_status[s] = reader->VerifySection(s);
-  });
-  for (const Status& status : section_status) {
-    MIDAS_RETURN_IF_ERROR(status);
-  }
-
-  // A chunk is a span of consecutive runs totalling ~1/target of the
-  // records; more chunks than threads smooths imbalance from skewed source
-  // sizes.
-  struct Chunk {
-    size_t run_begin = 0;
-    size_t run_end = 0;
-  };
-  std::vector<Chunk> chunks;
-  const uint64_t target_chunks = num_threads * 4;
-  const uint64_t per_chunk =
-      std::max<uint64_t>(1, (n + target_chunks - 1) / target_chunks);
-  for (size_t r = 0; r < runs.size();) {
-    Chunk chunk;
-    chunk.run_begin = r;
-    uint64_t records = 0;
-    while (r < runs.size() && records < per_chunk) {
-      records += runs[r].last - runs[r].first;
-      ++r;
-    }
-    chunk.run_end = r;
-    chunks.push_back(chunk);
-  }
-
-  struct ChunkOut {
-    std::vector<rdf::Triple> facts;  // survivors, in record order
-    // (run index, survivor count) for each run with survivors, in order.
-    std::vector<std::pair<size_t, size_t>> run_counts;
-    Status status;
-  };
-  std::vector<ChunkOut> outs(chunks.size());
-  pool.ParallelFor(chunks.size(), [&](size_t ci) {
-    const Chunk& chunk = chunks[ci];
-    ChunkOut& out = outs[ci];
-    // Bounds-check this chunk's codes (the lazy-verify substitute for the
-    // eager open's full scan; memoized eager opens make it a re-scan only
-    // for lazy readers).
-    out.status = reader->VerifyRecordCodes(runs[chunk.run_begin].first,
-                                           runs[chunk.run_end - 1].last);
-    if (!out.status.ok()) return;
-    RunDedup dedup;
-    for (size_t ri = chunk.run_begin; ri < chunk.run_end; ++ri) {
-      dedup.NextRun();
-      size_t survivors = 0;
-      for (uint64_t i = runs[ri].first; i < runs[ri].last; ++i) {
-        if (!(conf[i] > threshold)) continue;
-        if (!dedup.Insert(subjects[i],
-                          (static_cast<uint64_t>(predicates[i]) << 32) |
-                              objects[i])) {
-          continue;
-        }
-        if (remap.empty()) {
-          out.facts.emplace_back(subjects[i], predicates[i], objects[i]);
-        } else {
-          out.facts.emplace_back(remap[subjects[i]], remap[predicates[i]],
-                                 remap[objects[i]]);
-        }
-        ++survivors;
-      }
-      if (survivors > 0) out.run_counts.emplace_back(ri, survivors);
-    }
-  });
-
-  for (const ChunkOut& out : outs) {
-    MIDAS_RETURN_IF_ERROR(out.status);
-  }
-  // Deterministic merge: chunks and runs ascending in record order, so a
-  // source is created at its first run with survivors — the same position
-  // the serial path creates it at.
-  std::vector<size_t> canon_source(num_canon, kNoSource);
-  for (const ChunkOut& out : outs) {
-    size_t off = 0;
-    for (const auto& [ri, count] : out.run_counts) {
-      size_t& source = canon_source[runs[ri].canon];
-      if (source == kNoSource) {
-        source = corpus->AddSource(urls[runs[ri].first_code]);
-      }
-      for (size_t k = 0; k < count; ++k) {
-        corpus->AppendFactToSourceUnchecked(source, out.facts[off + k]);
-      }
-      off += count;
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace
-
-Status LoadColumnarCorpusFromReader(store::ColumnarReader* reader,
-                                    const ColumnarLoadOptions& options,
-                                    web::Corpus* corpus) {
-  if (!reader->is_open()) {
-    return Status::InvalidArgument("columnar reader is not open");
-  }
-  *corpus = web::Corpus(options.dict);
-  // The dictionary payloads and the url-code column are read below; settle
-  // their CRCs first (memoized no-ops after an eager open).
-  MIDAS_RETURN_IF_ERROR(reader->VerifySection(store::kSectionTerms));
-  MIDAS_RETURN_IF_ERROR(reader->VerifySection(store::kSectionUrls));
-  MIDAS_RETURN_IF_ERROR(reader->VerifySection(store::kSectionUrlCode));
-  const std::vector<rdf::TermId> remap =
-      LoadTerms(*reader, corpus->mutable_dict());
-  const std::vector<std::string> urls = NormalizedUrls(*reader);
-  uint32_t num_canon = 0;
-  const std::vector<uint32_t> canon = BuildCanonMap(urls, &num_canon);
-  std::vector<CanonRun> runs;
-  const bool contiguous = CollectCanonRuns(
-      reader->url_codes(), reader->num_records(), canon, num_canon, &runs);
-  if (contiguous && options.num_threads > 1 && !runs.empty()) {
-    MIDAS_RETURN_IF_ERROR(LoadCorpusParallel(reader, remap, urls, runs,
-                                             num_canon, options.threshold,
-                                             options.num_threads, corpus));
-  } else {
-    MIDAS_RETURN_IF_ERROR(reader->VerifyAllSections());
-    MIDAS_RETURN_IF_ERROR(reader->VerifyAllRecordCodes());
-    LoadCorpusSerial(*reader, remap, urls, canon, contiguous,
-                     options.threshold, corpus);
-  }
-  return Status::OK();
-}
 
 Status LoadColumnarCorpus(const std::string& path, double threshold,
                           std::shared_ptr<rdf::Dictionary> dict,
                           web::Corpus* corpus, uint64_t* fingerprint) {
   store::ColumnarReader reader;
   MIDAS_RETURN_IF_ERROR(reader.Open(path));
-  ColumnarLoadOptions options;
-  options.threshold = threshold;
-  options.dict = std::move(dict);
-  MIDAS_RETURN_IF_ERROR(
-      LoadColumnarCorpusFromReader(&reader, options, corpus));
+  *corpus = web::Corpus(std::move(dict));
+  const std::vector<rdf::TermId> remap =
+      LoadTerms(reader, corpus->mutable_dict());
+  const std::vector<std::string> urls = NormalizedUrls(reader);
+  uint32_t num_canon = 0;
+  const std::vector<uint32_t> canon = BuildCanonMap(urls, &num_canon);
+  const bool contiguous = SourceContiguous(
+      reader.url_codes(), reader.num_records(), canon, num_canon);
+  LoadCorpusSerial(reader, remap, urls, canon, contiguous, threshold, corpus);
   if (fingerprint != nullptr) *fingerprint = reader.content_fingerprint();
-  return Status::OK();
-}
-
-Status LoadColumnarCorpusSubset(store::ColumnarReader* reader,
-                                const std::vector<uint32_t>& url_codes,
-                                const ColumnarLoadOptions& options,
-                                web::Corpus* corpus) {
-  if (!reader->is_open()) {
-    return Status::InvalidArgument("columnar reader is not open");
-  }
-  if (!reader->has_source_index()) {
-    return Status::InvalidArgument(
-        "columnar file has no source-range index (midas convert --reindex "
-        "adds one)");
-  }
-  *corpus = web::Corpus(options.dict);
-  // No dictionary-section checksums here: subset cost must scale with the
-  // subset, not the file. The open already validated both offset tables
-  // structurally (monotone, in-bounds), so every term()/url() view read
-  // below is well-formed even on a lazily-verified reader; whole-section
-  // CRCs stay with the full loads and `midas convert`.
-  // Terms are interned on first use only: a subset touching 1% of the
-  // records must not pay a full-dictionary adoption (the dominant fixed
-  // cost at paper scale). Seeded with the file's full dictionary the ids
-  // come out identical to a full load's; a fresh dictionary assigns them
-  // in first-use order instead (same term strings either way).
-  rdf::Dictionary* dict = corpus->mutable_dict();
-  std::vector<rdf::TermId> lazy_ids(reader->num_terms(), rdf::kInvalidTermId);
-  const auto resolve = [&](uint32_t term_code) {
-    rdf::TermId& id = lazy_ids[term_code];
-    if (id == rdf::kInvalidTermId) id = dict->Intern(reader->term(term_code));
-    return id;
-  };
-
-  std::vector<uint32_t> codes = url_codes;
-  std::sort(codes.begin(), codes.end());
-  codes.erase(std::unique(codes.begin(), codes.end()), codes.end());
-  if (!codes.empty() && codes.back() >= reader->num_urls()) {
-    return Status::InvalidArgument("url code out of range");
-  }
-  std::vector<const store::ColumnarSourceRun*> runs;
-  runs.reserve(codes.size());
-  uint64_t selected = 0;
-  for (uint32_t code : codes) {
-    const store::ColumnarSourceRun* run = reader->FindSourceRun(code);
-    if (run == nullptr) continue;  // valid code, no records
-    runs.push_back(run);
-    selected += run->last - run->first;
-  }
-
-  const double* conf = reader->confidences();
-  const uint32_t* rec_codes = reader->url_codes();
-  const uint32_t* subjects = reader->subjects();
-  const uint32_t* predicates = reader->predicates();
-  const uint32_t* objects = reader->objects();
-  // Runs sorted by code are sorted by position too (index invariant), so
-  // records are visited in file order: source creation order and dedup
-  // semantics match a full load filtered to these codes. Dedup is keyed by
-  // the resolved source index, which covers canon-merged codes exactly like
-  // the full load's global table.
-  std::unordered_map<uint32_t, size_t> source_of;
-  FactDedup dedup(selected);
-  for (const store::ColumnarSourceRun* run : runs) {
-    MIDAS_RETURN_IF_ERROR(reader->VerifyRecordCodes(run->first, run->last));
-    for (uint64_t i = run->first; i < run->last; ++i) {
-      if (!(conf[i] > options.threshold)) continue;
-      const uint32_t code = rec_codes[i];
-      auto [it, inserted] = source_of.try_emplace(code, 0);
-      if (inserted) {
-        it->second = corpus->AddSource(web::NormalizeUrl(reader->url(code)));
-      }
-      const uint64_t source = it->second;
-      if (!dedup.Insert((source << 32) | subjects[i],
-                        (static_cast<uint64_t>(predicates[i]) << 32) |
-                            objects[i])) {
-        continue;
-      }
-      corpus->AppendFactToSourceUnchecked(
-          static_cast<size_t>(source),
-          rdf::Triple(resolve(subjects[i]), resolve(predicates[i]),
-                      resolve(objects[i])));
-    }
-  }
   return Status::OK();
 }
 

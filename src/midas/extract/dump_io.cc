@@ -78,15 +78,15 @@ Status LoadDump(const std::string& path, const LoadOptions& options,
 }
 
 Status SaveDump(const std::string& path, const ExtractionDump& dump) {
-  std::vector<std::vector<std::string>> rows;
-  rows.reserve(dump.facts.size());
+  std::string contents;
   const rdf::Dictionary& dict = *dump.dict;
   for (const auto& f : dump.facts) {
-    rows.push_back({f.url, dict.Term(f.triple.subject),
-                    dict.Term(f.triple.predicate), dict.Term(f.triple.object),
-                    FormatDouble(f.confidence, 4)});
+    TsvAppendRow({f.url, dict.Term(f.triple.subject),
+                  dict.Term(f.triple.predicate), dict.Term(f.triple.object),
+                  FormatDouble(f.confidence, 4)},
+                 &contents);
   }
-  return TsvWriteFile(path, rows);
+  return TsvWriteFile(path, contents);
 }
 
 }  // namespace extract

@@ -1,160 +1,9 @@
 #include "midas/rdf/ntriples.h"
 
-#include <fstream>
-
-#include "midas/store/atomic_file.h"
-#include "midas/util/string_util.h"
 #include "midas/util/tsv.h"
 
 namespace midas {
 namespace rdf {
-
-namespace {
-
-// Consumes one term (IRI in <>, or quoted literal) from the front of `rest`,
-// appending the decoded value to `out`. Advances `rest` past the term.
-Status ConsumeTerm(std::string_view* rest, std::string* out) {
-  *rest = Trim(*rest);
-  if (rest->empty()) return Status::InvalidArgument("missing term");
-  if ((*rest)[0] == '<') {
-    size_t close = rest->find('>');
-    if (close == std::string_view::npos) {
-      return Status::InvalidArgument("unterminated IRI");
-    }
-    out->assign(rest->substr(1, close - 1));
-    rest->remove_prefix(close + 1);
-    return Status::OK();
-  }
-  if ((*rest)[0] == '"') {
-    // Scan for the closing quote, honoring backslash escapes.
-    std::string value;
-    size_t i = 1;
-    for (; i < rest->size(); ++i) {
-      char c = (*rest)[i];
-      if (c == '\\' && i + 1 < rest->size()) {
-        char next = (*rest)[i + 1];
-        switch (next) {
-          case 'n':
-            value.push_back('\n');
-            break;
-          case 't':
-            value.push_back('\t');
-            break;
-          case '"':
-            value.push_back('"');
-            break;
-          case '\\':
-            value.push_back('\\');
-            break;
-          default:
-            value.push_back(next);
-        }
-        ++i;
-        continue;
-      }
-      if (c == '"') break;
-      value.push_back(c);
-    }
-    if (i >= rest->size()) {
-      return Status::InvalidArgument("unterminated literal");
-    }
-    *out = std::move(value);
-    rest->remove_prefix(i + 1);
-    return Status::OK();
-  }
-  return Status::InvalidArgument("term must start with '<' or '\"'");
-}
-
-std::string EscapeLiteral(const std::string& value) {
-  std::string out;
-  out.reserve(value.size() + 2);
-  for (char c : value) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out.push_back(c);
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-Status ParseNTriplesLine(std::string_view line, std::vector<std::string>* out) {
-  out->clear();
-  std::string_view rest = Trim(line);
-  if (rest.empty() || rest[0] == '#') {
-    return Status::InvalidArgument("empty or comment line");
-  }
-  for (int i = 0; i < 3; ++i) {
-    std::string term;
-    MIDAS_RETURN_IF_ERROR(ConsumeTerm(&rest, &term));
-    out->push_back(std::move(term));
-  }
-  rest = Trim(rest);
-  if (rest != ".") {
-    return Status::InvalidArgument("line must end with '.'");
-  }
-  return Status::OK();
-}
-
-std::string FormatNTriplesLine(const std::string& subject,
-                               const std::string& predicate,
-                               const std::string& object) {
-  std::string out = "<" + subject + "> <" + predicate + "> ";
-  if (object.find("://") != std::string::npos) {
-    out += "<" + object + ">";
-  } else {
-    out += "\"" + EscapeLiteral(object) + "\"";
-  }
-  out += " .";
-  return out;
-}
-
-Status LoadNTriplesFile(const std::string& path, Dictionary* dict,
-                        std::vector<Triple>* out) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::string line;
-  std::vector<std::string> terms;
-  size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    std::string_view trimmed = Trim(line);
-    if (trimmed.empty() || trimmed[0] == '#') continue;
-    Status s = ParseNTriplesLine(trimmed, &terms);
-    if (!s.ok()) {
-      return Status::Corruption(path + ":" + std::to_string(lineno) + ": " +
-                                s.message());
-    }
-    out->emplace_back(dict->Intern(terms[0]), dict->Intern(terms[1]),
-                      dict->Intern(terms[2]));
-  }
-  return Status::OK();
-}
-
-Status SaveNTriplesFile(const std::string& path, const Dictionary& dict,
-                        const std::vector<Triple>& triples) {
-  // Atomic replace: a crash mid-write can't leave a torn triple file.
-  std::string contents;
-  for (const Triple& t : triples) {
-    contents += FormatNTriplesLine(dict.Term(t.subject), dict.Term(t.predicate),
-                                   dict.Term(t.object));
-    contents += '\n';
-  }
-  return store::AtomicWriteFile(path, contents);
-}
 
 Status LoadTsvFacts(const std::string& path, Dictionary* dict,
                     std::vector<Triple>* out) {
@@ -173,13 +22,13 @@ Status LoadTsvFacts(const std::string& path, Dictionary* dict,
 
 Status SaveTsvFacts(const std::string& path, const Dictionary& dict,
                     const std::vector<Triple>& triples) {
-  std::vector<std::vector<std::string>> rows;
-  rows.reserve(triples.size());
+  std::string contents;
   for (const Triple& t : triples) {
-    rows.push_back(
-        {dict.Term(t.subject), dict.Term(t.predicate), dict.Term(t.object)});
+    TsvAppendRow(
+        {dict.Term(t.subject), dict.Term(t.predicate), dict.Term(t.object)},
+        &contents);
   }
-  return TsvWriteFile(path, rows);
+  return TsvWriteFile(path, contents);
 }
 
 }  // namespace rdf

@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cerrno>
 #include <cstddef>
@@ -411,12 +410,6 @@ Status ColumnarWriter::Finish(size_t num_terms, const DictFn& term,
 void ColumnarReader::Swap(ColumnarReader* other) {
   std::swap(base_, other->base_);
   std::swap(map_size_, other->map_size_);
-  std::swap(path_, other->path_);
-  std::swap(section_offset_, other->section_offset_);
-  std::swap(section_size_, other->section_size_);
-  std::swap(section_crc_, other->section_crc_);
-  std::swap(section_verified_, other->section_verified_);
-  std::swap(codes_verified_, other->codes_verified_);
   std::swap(index_runs_, other->index_runs_);
   std::swap(num_index_runs_, other->num_index_runs_);
   std::swap(num_records_, other->num_records_);
@@ -440,19 +433,12 @@ void ColumnarReader::Close() {
   }
   base_ = nullptr;
   map_size_ = 0;
-  path_.clear();
   num_records_ = num_terms_ = num_urls_ = 0;
   content_fingerprint_ = 0;
   term_offsets_ = url_offsets_ = nullptr;
   terms_blob_ = urls_blob_ = nullptr;
   confidences_ = nullptr;
   url_codes_ = subjects_ = predicates_ = objects_ = nullptr;
-  for (size_t s = 0; s < kColumnarNumSections; ++s) {
-    section_offset_[s] = section_size_[s] = 0;
-    section_crc_[s] = 0;
-    section_verified_[s] = 0;
-  }
-  codes_verified_ = 0;
   index_runs_ = nullptr;
   num_index_runs_ = 0;
 }
@@ -483,7 +469,6 @@ Status ColumnarReader::Open(const std::string& path,
   }
   base_ = static_cast<const char*>(map);
   map_size_ = file_size;
-  path_ = path;
 
   auto corrupt = [&](const std::string& msg) {
     Close();
@@ -527,9 +512,6 @@ Status ColumnarReader::Open(const std::string& path,
         info.size > body_end || info.offset > body_end - info.size) {
       return corrupt("section " + std::to_string(s) + " out of bounds");
     }
-    section_offset_[s] = info.offset;
-    section_size_[s] = info.size;
-    section_crc_[s] = info.crc;
     prev_end = info.offset + info.size;
   }
 
@@ -629,69 +611,25 @@ Status ColumnarReader::Open(const std::string& path,
   num_urls_ = footer.num_urls;
   content_fingerprint_ = footer.content_hash;
 
-  if (options.verify_checksums && !options.lazy_verify) {
-    Status status = VerifyAllSections();
+  if (options.verify_checksums) {
+    for (size_t s = 0; s < kColumnarNumSections; ++s) {
+      const SectionInfo& info = footer.sections[s];
+      if (Crc32(base_ + info.offset, info.size) != info.crc) {
+        return corrupt("section " + std::to_string(s) + " CRC mismatch");
+      }
+    }
     // Range-check every record code: accessors index straight into the
     // dictionaries, so an out-of-range code in an unchecked file would be
     // an out-of-bounds read downstream.
-    if (status.ok()) status = VerifyAllRecordCodes();
-    if (!status.ok()) {
-      Close();
-      return status;
+    const auto terms32 = static_cast<uint32_t>(num_terms_);
+    const auto urls32 = static_cast<uint32_t>(num_urls_);
+    for (uint64_t i = 0; i < n; ++i) {
+      if (url_codes_[i] >= urls32 || subjects_[i] >= terms32 ||
+          predicates_[i] >= terms32 || objects_[i] >= terms32) {
+        return corrupt("record code out of dictionary range");
+      }
     }
   }
-  return Status::OK();
-}
-
-const ColumnarSourceRun* ColumnarReader::FindSourceRun(
-    uint32_t url_code) const {
-  const ColumnarSourceRun* end = index_runs_ + num_index_runs_;
-  const ColumnarSourceRun* it = std::lower_bound(
-      index_runs_, end, url_code,
-      [](const ColumnarSourceRun& run, uint32_t code) {
-        return run.url_code < code;
-      });
-  return (it != end && it->url_code == url_code) ? it : nullptr;
-}
-
-Status ColumnarReader::VerifySection(size_t section) {
-  std::atomic_ref<unsigned char> verified(section_verified_[section]);
-  if (verified.load(std::memory_order_acquire) != 0) return Status::OK();
-  if (Crc32(base_ + section_offset_[section], section_size_[section]) !=
-      section_crc_[section]) {
-    return Status::Corruption(path_ + ": section " + std::to_string(section) +
-                              " CRC mismatch");
-  }
-  verified.store(1, std::memory_order_release);
-  return Status::OK();
-}
-
-Status ColumnarReader::VerifyAllSections() {
-  for (size_t s = 0; s < kColumnarNumSections; ++s) {
-    MIDAS_RETURN_IF_ERROR(VerifySection(s));
-  }
-  return Status::OK();
-}
-
-Status ColumnarReader::VerifyRecordCodes(uint64_t first,
-                                         uint64_t last) const {
-  const auto terms32 = static_cast<uint32_t>(num_terms_);
-  const auto urls32 = static_cast<uint32_t>(num_urls_);
-  for (uint64_t i = first; i < last; ++i) {
-    if (url_codes_[i] >= urls32 || subjects_[i] >= terms32 ||
-        predicates_[i] >= terms32 || objects_[i] >= terms32) {
-      return Status::Corruption(path_ + ": record code out of dictionary "
-                                        "range");
-    }
-  }
-  return Status::OK();
-}
-
-Status ColumnarReader::VerifyAllRecordCodes() {
-  std::atomic_ref<unsigned char> verified(codes_verified_);
-  if (verified.load(std::memory_order_acquire) != 0) return Status::OK();
-  MIDAS_RETURN_IF_ERROR(VerifyRecordCodes(0, num_records_));
-  verified.store(1, std::memory_order_release);
   return Status::OK();
 }
 

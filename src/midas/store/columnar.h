@@ -147,15 +147,6 @@ struct ColumnarReadOptions {
   /// verified; the reader hands out raw pointers, so a corrupt unverified
   /// file can crash downstream code.
   bool verify_checksums = true;
-  /// Defer the verify_checksums work instead of skipping or front-loading
-  /// it: Open validates structure only (magics, footer CRC, section table,
-  /// dictionary offsets, index geometry + CRC) and the caller settles each
-  /// section with VerifySection / VerifyAllSections before trusting its
-  /// payload, and bounds-checks the codes it actually touches with
-  /// VerifyRecordCodes. This is what makes a subset load pay checksum cost
-  /// proportional to the bytes it reads, not the file size. Ignored when
-  /// verify_checksums is false.
-  bool lazy_verify = false;
 };
 
 /// mmap-backed zero-copy reader. Open() maps the whole file read-only and
@@ -216,42 +207,16 @@ class ColumnarReader {
   /// All runs, sorted by url_code and by position. Pointer into the
   /// mapping; null without an index.
   const ColumnarSourceRun* source_runs() const { return index_runs_; }
-  /// Binary-searches the index for `url_code`; null if absent (no index,
-  /// or the code has no records).
-  const ColumnarSourceRun* FindSourceRun(uint32_t url_code) const;
-
-  /// Lazy verification (see ColumnarReadOptions::lazy_verify). Verifies
-  /// one section's CRC, memoized and thread-safe: concurrent callers may
-  /// both compute the CRC but settle on the same answer, and a section is
-  /// never re-hashed after a success. Failures are not memoized (every
-  /// call re-reports the Corruption).
-  Status VerifySection(size_t section);
-  Status VerifyAllSections();
-  /// Bounds-checks the url/subject/predicate/object codes of records
-  /// [first, last) against the dictionary sizes — the per-range substitute
-  /// for the full-file code scan of an eager open. Not memoized.
-  Status VerifyRecordCodes(uint64_t first, uint64_t last) const;
-  /// VerifyRecordCodes over the whole file, memoized like VerifySection (an
-  /// eager open settles it; a lazy full load pays it once).
-  Status VerifyAllRecordCodes();
 
  private:
   void Swap(ColumnarReader* other);
 
   const char* base_ = nullptr;  // mmap base; null when closed
   size_t map_size_ = 0;
-  std::string path_;  // for error messages after Open
   uint64_t num_records_ = 0;
   uint64_t num_terms_ = 0;
   uint64_t num_urls_ = 0;
   uint64_t content_fingerprint_ = 0;
-  uint64_t section_offset_[kColumnarNumSections] = {};
-  uint64_t section_size_[kColumnarNumSections] = {};
-  uint32_t section_crc_[kColumnarNumSections] = {};
-  /// 1 once the section's CRC verified; accessed via std::atomic_ref.
-  unsigned char section_verified_[kColumnarNumSections] = {};
-  /// 1 once every record code bounds-checked; accessed via std::atomic_ref.
-  unsigned char codes_verified_ = 0;
   const ColumnarSourceRun* index_runs_ = nullptr;
   uint64_t num_index_runs_ = 0;
   const uint64_t* term_offsets_ = nullptr;

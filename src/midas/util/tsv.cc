@@ -10,31 +10,29 @@
 
 namespace midas {
 
-std::string TsvEscape(std::string_view field) {
-  std::string out;
-  out.reserve(field.size());
+namespace {
+
+// Appends the escaped `field` to `out`.
+void AppendEscaped(std::string_view field, std::string* out) {
   for (char c : field) {
     switch (c) {
       case '\t':
-        out += "\\t";
+        *out += "\\t";
         break;
       case '\n':
-        out += "\\n";
+        *out += "\\n";
         break;
       case '\r':
-        out += "\\r";
+        *out += "\\r";
         break;
       case '\\':
-        out += "\\\\";
+        *out += "\\\\";
         break;
       default:
-        out.push_back(c);
+        out->push_back(c);
     }
   }
-  return out;
 }
-
-namespace {
 
 // Appends the unescaped `field` to `out`.
 void AppendUnescaped(std::string_view field, std::string* out) {
@@ -95,6 +93,13 @@ constexpr size_t kReadBufferBytes = 64 * 1024;
 
 }  // namespace
 
+std::string TsvEscape(std::string_view field) {
+  std::string out;
+  out.reserve(field.size());
+  AppendEscaped(field, &out);
+  return out;
+}
+
 std::string TsvUnescape(std::string_view field) {
   std::string out;
   out.reserve(field.size());
@@ -106,10 +111,21 @@ std::string TsvFormatRow(const std::vector<std::string>& fields) {
   std::string out;
   for (size_t i = 0; i < fields.size(); ++i) {
     if (i > 0) out.push_back('\t');
-    out += TsvEscape(fields[i]);
+    AppendEscaped(fields[i], &out);
   }
   out.push_back('\n');
   return out;
+}
+
+void TsvAppendRow(std::initializer_list<std::string_view> fields,
+                  std::string* out) {
+  bool first = true;
+  for (std::string_view field : fields) {
+    if (!first) out->push_back('\t');
+    first = false;
+    AppendEscaped(field, out);
+  }
+  out->push_back('\n');
 }
 
 std::vector<std::string> TsvParseRow(std::string_view line) {
@@ -173,14 +189,7 @@ Status TsvReadFile(
   return Status::OK();
 }
 
-Status TsvWriteFile(const std::string& path,
-                    const std::vector<std::vector<std::string>>& rows) {
-  // Staged through store::AtomicWriteFile: readers see the old file or the
-  // complete new one, never a torn prefix.
-  std::string contents;
-  for (const auto& row : rows) {
-    contents += TsvFormatRow(row);
-  }
+Status TsvWriteFile(const std::string& path, std::string_view contents) {
   return store::AtomicWriteFile(path, contents);
 }
 

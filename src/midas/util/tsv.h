@@ -2,6 +2,7 @@
 #define MIDAS_UTIL_TSV_H_
 
 #include <functional>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,6 +24,11 @@ std::string TsvUnescape(std::string_view field);
 /// Serializes one row (fields joined by tabs, terminated by '\n').
 std::string TsvFormatRow(const std::vector<std::string>& fields);
 
+/// Appends one row, formatted as TsvFormatRow does, to `out`. Writers build
+/// a whole file this way in the one string TsvWriteFile stages.
+void TsvAppendRow(std::initializer_list<std::string_view> fields,
+                  std::string* out);
+
 /// Parses one line (without trailing newline) into unescaped fields.
 std::vector<std::string> TsvParseRow(std::string_view line);
 
@@ -38,9 +44,10 @@ Status TsvReadFile(
     const std::function<Status(size_t row, const std::vector<std::string>&)>&
         callback);
 
-/// Writes rows to `path`, overwriting any existing file.
-Status TsvWriteFile(const std::string& path,
-                    const std::vector<std::vector<std::string>>& rows);
+/// Writes `contents` (rows built with TsvAppendRow) to `path`, replacing
+/// any existing file atomically: readers see the old file or the complete
+/// new one, never a torn prefix.
+Status TsvWriteFile(const std::string& path, std::string_view contents);
 
 }  // namespace midas
 

@@ -16,6 +16,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/test_dir.h"
@@ -31,7 +32,6 @@
 #include "midas/fault/fault.h"
 #include "midas/rdf/dictionary.h"
 #include "midas/rdf/knowledge_base.h"
-#include "midas/store/columnar.h"
 #include "midas/util/status.h"
 #include "midas/web/web_source.h"
 
@@ -95,17 +95,11 @@ struct Bundle {
 };
 
 Status LoadBundle(const std::string& path, Bundle* b) {
-  store::ColumnarReader reader;
-  store::ColumnarReadOptions read_options;
-  read_options.lazy_verify = true;
-  MIDAS_RETURN_IF_ERROR(reader.Open(path, read_options));
-  extract::ColumnarLoadOptions load_options;
-  load_options.threshold = kThreshold;
-  load_options.dict = std::make_shared<rdf::Dictionary>();
-  load_options.dict->Intern("seed/kb-only-term");
-  load_options.dict->Intern("seed/another");
-  MIDAS_RETURN_IF_ERROR(
-      extract::LoadColumnarCorpusFromReader(&reader, load_options, &b->corpus));
+  auto dict = std::make_shared<rdf::Dictionary>();
+  dict->Intern("seed/kb-only-term");
+  dict->Intern("seed/another");
+  MIDAS_RETURN_IF_ERROR(extract::LoadColumnarCorpus(
+      path, kThreshold, std::move(dict), &b->corpus, nullptr));
   b->kb = std::make_unique<rdf::KnowledgeBase>(b->corpus.shared_dict());
   core::MidasOptions alg_options;
   alg_options.cost_model = core::CostModel::RunningExample();

@@ -8,7 +8,6 @@
 
 #include "midas/core/midas.h"
 #include "midas/rdf/knowledge_base.h"
-#include "midas/rdf/ntriples.h"
 #include "midas/synth/corpus_generator.h"
 #include "midas/util/random.h"
 #include "midas/util/tsv.h"
@@ -87,43 +86,6 @@ TEST(FuzzTest, TsvRowRoundTripsArbitraryFields) {
     auto parsed =
         TsvParseRow(std::string_view(row).substr(0, row.size() - 1));
     EXPECT_EQ(parsed, fields);
-  }
-}
-
-TEST(FuzzTest, NTriplesParserNeverCrashes) {
-  Rng rng(5);
-  std::vector<std::string> terms;
-  for (int i = 0; i < 20000; ++i) {
-    std::string line = RandomNastyString(&rng, 80);
-    auto status = rdf::ParseNTriplesLine(line, &terms);
-    (void)status;  // ok or error — just must not crash
-  }
-}
-
-TEST(FuzzTest, NTriplesFormatParsesBackWhenTermsAreClean) {
-  Rng rng(6);
-  for (int i = 0; i < 2000; ++i) {
-    // IRI-safe subject/predicate (no '>'), arbitrary literal object.
-    auto clean = [&](size_t len) {
-      std::string s;
-      for (size_t c = 0; c < len; ++c) {
-        s.push_back(static_cast<char>('a' + rng.Uniform(26)));
-      }
-      return s;
-    };
-    std::string subject = clean(8), predicate = clean(6);
-    std::string object = RandomNastyString(&rng, 24);
-    // The formatter only quotes/escapes literal objects; objects that look
-    // like IRIs must themselves be clean.
-    if (object.find("://") != std::string::npos) continue;
-
-    std::string line = rdf::FormatNTriplesLine(subject, predicate, object);
-    std::vector<std::string> terms;
-    Status s = rdf::ParseNTriplesLine(line, &terms);
-    ASSERT_TRUE(s.ok()) << line;
-    EXPECT_EQ(terms[0], subject);
-    EXPECT_EQ(terms[1], predicate);
-    EXPECT_EQ(terms[2], object);
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -17,6 +18,7 @@
 #include "common/test_dir.h"
 #include "midas/fault/fault.h"
 #include "midas/store/atomic_file.h"
+#include "midas/store/crc32.h"
 #include "midas/util/random.h"
 #include "midas/util/status.h"
 
@@ -268,9 +270,6 @@ TEST_F(ColumnarTest, GroupedFileCarriesSourceIndex) {
   EXPECT_EQ(runs[2].url_code, 2u);
   EXPECT_EQ(runs[2].first, 4u);
   EXPECT_EQ(runs[2].last, 6u);
-  ASSERT_NE(reader.FindSourceRun(1), nullptr);
-  EXPECT_EQ(reader.FindSourceRun(1)->first, 3u);
-  EXPECT_EQ(reader.FindSourceRun(7), nullptr);
 }
 
 TEST_F(ColumnarTest, InterleavedFileHasNoIndex) {
@@ -281,7 +280,8 @@ TEST_F(ColumnarTest, InterleavedFileHasNoIndex) {
   ColumnarReader reader;
   ASSERT_TRUE(reader.Open(path_).ok());
   EXPECT_FALSE(reader.has_source_index());
-  EXPECT_EQ(reader.FindSourceRun(0), nullptr);
+  EXPECT_EQ(reader.num_source_runs(), 0u);
+  EXPECT_EQ(reader.source_runs(), nullptr);
 }
 
 // The index region and its announcing flag bit are excluded from the
@@ -345,63 +345,38 @@ TEST_F(ColumnarTest, IndexRegionBitFlipsRejected) {
   }
 }
 
-// lazy_verify defers the per-section CRC work to VerifySection: a corrupt
-// interior section opens fine, its verification fails, untouched sections
-// verify clean, and a second call on a verified section is memoized.
-TEST_F(ColumnarTest, LazyVerifyDefersSectionChecks) {
-  WriteFile(MakeRecords(64, 11, 4, 8), MakeTerms(11), MakeUrls(4));
-  const std::string bytes = ReadFileBytes(path_);
-  // Eager open pins down where the confidence section lives: corrupt one
-  // byte in the middle of the file, which the truncation geometry checks
-  // cannot see.
-  std::string corrupt = bytes;
-  corrupt[bytes.size() / 2] ^= 0x20;
-  WriteFileBytes(path_, corrupt);
-
-  ColumnarReadOptions lazy;
-  lazy.lazy_verify = true;
-  ColumnarReader reader;
-  ASSERT_TRUE(reader.Open(path_, lazy).ok());
-  // The flipped byte sits in one of the five record columns; at least one
-  // section must fail, and the dictionaries (early in the file) are clean.
-  EXPECT_TRUE(reader.VerifySection(kSectionTerms).ok());
-  EXPECT_TRUE(reader.VerifySection(kSectionTerms).ok());  // memoized
-  Status all = reader.VerifyAllSections();
-  EXPECT_EQ(all.code(), StatusCode::kCorruption);
-  reader.Close();
-
-  // The pristine file passes the full lazy sweep and the code scan.
-  WriteFileBytes(path_, bytes);
-  ASSERT_TRUE(reader.Open(path_, lazy).ok());
-  EXPECT_TRUE(reader.VerifyAllSections().ok());
-  EXPECT_TRUE(reader.VerifyRecordCodes(0, reader.num_records()).ok());
-}
-
-// VerifyRecordCodes is the per-range replacement for the eager full-file
-// code scan: an out-of-range code is caught by the range containing it and
-// invisible to disjoint ranges.
-TEST_F(ColumnarTest, VerifyRecordCodesIsRangeScoped) {
+// The code scan at Open is the guard the checksums cannot give: a record
+// code past its dictionary, in a file whose CRCs all match (as another
+// writer could produce), is Corruption at Open.
+TEST_F(ColumnarTest, OutOfRangeCodeUnderMatchingChecksumsRejected) {
   ColumnarWriter writer(path_);
   for (uint32_t url : {0u, 0u, 1u, 1u}) writer.AddRecord(url, 0, 1, 2, 0.5);
   ASSERT_TRUE(writer.Finish(MakeTerms(3), MakeUrls(2)).ok());
   std::string bytes = ReadFileBytes(path_);
 
-  // Overwrite record 3's subject code with an out-of-range value. The
-  // subject column's last entry sits before the predicate + object columns
-  // (4 bytes x 4 records each), the index region (16B header + 2 runs),
-  // and the 216-byte footer.
-  const size_t index_bytes = 16 + 24 * 2;
-  const size_t subj3_off = bytes.size() - 216 - index_bytes - 2 * 4 * 4 - 4;
-  const uint32_t big = 0xfffffff0u;
-  std::memcpy(bytes.data() + subj3_off, &big, sizeof(big));
+  // The 216-byte footer holds three u64 counts, then one {u64 offset, u64
+  // size, u32 crc, u32 reserved} entry per section; its own CRC, at byte
+  // 200, covers the bytes before it.
+  const size_t footer = bytes.size() - 216;
+  const size_t entry = footer + 24 + 24 * kSectionSubject;
+  uint64_t offset = 0, size = 0;
+  std::memcpy(&offset, bytes.data() + entry, sizeof(offset));
+  std::memcpy(&size, bytes.data() + entry + 8, sizeof(size));
+  const uint32_t past_last_term = 3;
+  std::memcpy(bytes.data() + offset + 3 * sizeof(uint32_t), &past_last_term,
+              sizeof(past_last_term));
+  const uint32_t section_crc = Crc32(bytes.data() + offset, size);
+  std::memcpy(bytes.data() + entry + 16, &section_crc, sizeof(section_crc));
+  const uint32_t footer_crc = Crc32(bytes.data() + footer, 200);
+  std::memcpy(bytes.data() + footer + 200, &footer_crc, sizeof(footer_crc));
   WriteFileBytes(path_, bytes);
 
-  ColumnarReadOptions lazy;
-  lazy.lazy_verify = true;
   ColumnarReader reader;
-  ASSERT_TRUE(reader.Open(path_, lazy).ok());
-  EXPECT_TRUE(reader.VerifyRecordCodes(0, 3).ok());
-  EXPECT_EQ(reader.VerifyRecordCodes(3, 4).code(), StatusCode::kCorruption);
+  const Status status = reader.Open(path_);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+  EXPECT_NE(status.message().find("record code out of dictionary range"),
+            std::string::npos);
+  EXPECT_FALSE(reader.is_open());
 }
 
 #ifdef MIDAS_FAULT_INJECTION

@@ -10,9 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -319,6 +322,60 @@ TEST_F(CommandsTest, DiscoverJsonOutput) {
   EXPECT_EQ(out.str()[0], '{');
   EXPECT_NE(out.str().find("\"slices\""), std::string::npos);
   EXPECT_NE(out.str().find("\"profit\""), std::string::npos);
+}
+
+// `discover --dump x.midascol` opens the file with every check before it
+// decodes a byte of payload: one byte flipped inside any of the seven
+// sections must fail the run with Corruption, never feed discovery.
+TEST_F(CommandsTest, DiscoverRejectsCorruptColumnarDump) {
+  Generate();
+  const std::string col = dir_ + "/cli_dump.midascol";
+  {
+    FlagParser flags;
+    RegisterConvertFlags(&flags);
+    ASSERT_TRUE(
+        ParseInto(&flags, {"--in=" + dump_, "--out=" + col}).ok());
+    std::ostringstream out;
+    ASSERT_TRUE(RunConvert(flags, out).ok());
+  }
+  const auto discover = [&]() {
+    FlagParser flags;
+    RegisterDiscoverFlags(&flags);
+    EXPECT_TRUE(ParseInto(&flags, {"--dump=" + col, "--json"}).ok());
+    std::ostringstream out;
+    return RunDiscover(flags, out);
+  };
+  ASSERT_TRUE(discover().ok());
+
+  std::string bytes;
+  {
+    std::ifstream in(col, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  // MIDASCOL1's 216-byte footer (docs/FORMATS.md) opens with three u64
+  // counts, then one {u64 offset, u64 size, u32 crc, u32 reserved} entry
+  // per section.
+  constexpr size_t kFooterBytes = 216;
+  constexpr size_t kNumSections = 7;
+  ASSERT_GT(bytes.size(), kFooterBytes);
+  const size_t footer = bytes.size() - kFooterBytes;
+  for (size_t section = 0; section < kNumSections; ++section) {
+    uint64_t offset = 0, size = 0;
+    std::memcpy(&offset, bytes.data() + footer + 24 + 24 * section, 8);
+    std::memcpy(&size, bytes.data() + footer + 24 + 24 * section + 8, 8);
+    ASSERT_GT(size, 0u) << "section " << section;
+    std::string corrupt = bytes;
+    corrupt[offset + size / 2] ^= 0x01;
+    {
+      std::ofstream out(col, std::ios::binary | std::ios::trunc);
+      out.write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
+    }
+    const Status status = discover();
+    EXPECT_EQ(status.code(), StatusCode::kCorruption)
+        << "section " << section << ": " << status.ToString();
+  }
+  std::remove(col.c_str());
 }
 
 TEST_F(CommandsTest, EvaluateJsonOutput) {

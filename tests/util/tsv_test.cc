@@ -38,6 +38,27 @@ TEST(TsvRowTest, FormatAndParse) {
   EXPECT_EQ(parsed, fields);
 }
 
+// File writers append rows into one buffer; a row must come out exactly as
+// TsvFormatRow renders it, escapes included.
+TEST(TsvRowTest, AppendRowMatchesFormatRow) {
+  std::string contents = "prefix\n";
+  TsvAppendRow({"url", "a\tb", "back\\slash", "", "line\nbreak\r"},
+               &contents);
+  TsvAppendRow({"single"}, &contents);
+  EXPECT_EQ(contents,
+            "prefix\n" +
+                TsvFormatRow({"url", "a\tb", "back\\slash", "",
+                              "line\nbreak\r"}) +
+                TsvFormatRow({"single"}));
+}
+
+// The rows of a file, as TsvWriteFile takes them.
+std::string Contents(const std::vector<std::vector<std::string>>& rows) {
+  std::string contents;
+  for (const auto& row : rows) contents += TsvFormatRow(row);
+  return contents;
+}
+
 class TsvFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -50,7 +71,7 @@ class TsvFileTest : public ::testing::Test {
 TEST_F(TsvFileTest, WriteThenRead) {
   std::vector<std::vector<std::string>> rows = {
       {"a", "b", "c"}, {"d", "e\tf", "g"}};
-  ASSERT_TRUE(TsvWriteFile(path_, rows).ok());
+  ASSERT_TRUE(TsvWriteFile(path_, Contents(rows)).ok());
 
   std::vector<std::vector<std::string>> read;
   Status s = TsvReadFile(path_, [&](size_t, const std::vector<std::string>& f) {
@@ -78,7 +99,7 @@ TEST_F(TsvFileTest, SkipsCommentsAndBlankLines) {
 }
 
 TEST_F(TsvFileTest, CallbackErrorPropagates) {
-  ASSERT_TRUE(TsvWriteFile(path_, {{"x"}, {"y"}}).ok());
+  ASSERT_TRUE(TsvWriteFile(path_, Contents({{"x"}, {"y"}})).ok());
   Status s = TsvReadFile(path_, [](size_t, const std::vector<std::string>&) {
     return Status::Corruption("stop");
   });
@@ -115,7 +136,7 @@ TEST_F(TsvFileTest, RowsOfChangingWidthYieldOnlyTheirOwnFields) {
       {"d", "e"},
       {"f", "g", "h", "i"},
       {"j", "k"}};
-  ASSERT_TRUE(TsvWriteFile(path_, rows).ok());
+  ASSERT_TRUE(TsvWriteFile(path_, Contents(rows)).ok());
   std::vector<std::vector<std::string>> read;
   ASSERT_TRUE(TsvReadFile(path_, [&](size_t, const std::vector<std::string>& f) {
                 read.push_back(f);
@@ -177,7 +198,7 @@ TEST_F(TsvFileTest, LineLongerThanTheReadBuffer) {
   const std::string huge(300000, 'z');
   const std::vector<std::vector<std::string>> rows = {
       {"before", "x"}, {"a", huge, "b"}, {"after", "y"}};
-  ASSERT_TRUE(TsvWriteFile(path_, rows).ok());
+  ASSERT_TRUE(TsvWriteFile(path_, Contents(rows)).ok());
   std::vector<std::vector<std::string>> read;
   ASSERT_TRUE(TsvReadFile(path_, [&](size_t, const std::vector<std::string>& f) {
                 read.push_back(f);
@@ -193,7 +214,7 @@ TEST_F(TsvFileTest, ManyRowsAcrossBufferBoundaries) {
     rows.push_back({std::to_string(i), std::string(static_cast<size_t>(i % 97), static_cast<char>('a' + i % 26)),
                     i % 5 == 0 ? "esc\t" + std::to_string(i) : "z"});
   }
-  ASSERT_TRUE(TsvWriteFile(path_, rows).ok());
+  ASSERT_TRUE(TsvWriteFile(path_, Contents(rows)).ok());
   std::vector<std::vector<std::string>> read;
   ASSERT_TRUE(TsvReadFile(path_, [&](size_t row,
                                      const std::vector<std::string>& f) {

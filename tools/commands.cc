@@ -280,10 +280,6 @@ void RegisterDiscoverFlags(FlagParser* flags) {
                   "once the round queue drains, speculatively re-assign a "
                   "unit still in flight after this many ms to an idle "
                   "worker; first result wins (0 = off)");
-  flags->AddInt64("load_threads", 1,
-                  "threads for the columnar corpus load (0/1 = serial; "
-                  "bit-identical either way; needs a source-grouped "
-                  "columnar dump)");
   RegisterRobustnessFlags(flags);
   RegisterMetricsFlags(flags);
 }
@@ -316,16 +312,9 @@ Status LoadDiscoverCorpus(const FlagParser& flags, std::ostream& out,
     // from the mmap'd code arrays — no per-row materialization. --clean
     // needs row-level facts, so it takes the generic path below (LoadDump
     // auto-detects the format there too).
-    store::ColumnarReader reader;
-    store::ColumnarReadOptions read_options;
-    read_options.lazy_verify = true;
-    MIDAS_RETURN_IF_ERROR(reader.Open(dump_path, read_options));
-    extract::ColumnarLoadOptions load_options;
-    load_options.threshold = flags.GetDouble("threshold");
-    load_options.num_threads =
-        static_cast<size_t>(flags.GetInt64("load_threads"));
-    MIDAS_RETURN_IF_ERROR(extract::LoadColumnarCorpusFromReader(
-        &reader, load_options, &setup->corpus));
+    MIDAS_RETURN_IF_ERROR(extract::LoadColumnarCorpus(
+        dump_path, flags.GetDouble("threshold"), nullptr, &setup->corpus,
+        nullptr));
     setup->dump.dict = setup->corpus.shared_dict();
   } else {
     extract::LoadOptions load_options;
@@ -819,7 +808,7 @@ void RegisterConvertFlags(FlagParser* flags) {
   flags->AddBool("reindex", false,
                  "with columnar output: stable-group records by source "
                  "first, so the file carries the source-range index "
-                 "(enables subset loads; docs/FORMATS.md)");
+                 "(docs/FORMATS.md)");
 }
 
 Status RunConvert(const FlagParser& flags, std::ostream& out) {
@@ -871,9 +860,7 @@ Status RunConvert(const FlagParser& flags, std::ostream& out) {
     // Reopen to report whether the writer emitted the index (it does so
     // whenever the stream was source-grouped, --reindex or not).
     store::ColumnarReader reader;
-    store::ColumnarReadOptions read_options;
-    read_options.lazy_verify = true;
-    MIDAS_RETURN_IF_ERROR(reader.Open(out_path, read_options));
+    MIDAS_RETURN_IF_ERROR(reader.Open(out_path));
     out << "source-range index: "
         << (reader.has_source_index() ? "present" : "absent") << " ("
         << reader.num_source_runs() << " runs)\n";

@@ -42,13 +42,13 @@ Status LoadColumnarDump(const std::string& path, ExtractionDump* dump,
 /// Fast path for discovery: columnar file -> confidence-filtered
 /// web::Corpus without materializing per-fact URL strings or re-parsing
 /// terms. The file is opened with every check (section CRCs and record-code
-/// bounds) before any payload is decoded. Facts with confidence >
-/// `threshold` survive (same predicate as BuildCorpus). `dict`, when
-/// non-null, seeds the corpus dictionary (shared KB dictionaries); null
-/// means a fresh one, in which case the file's code arrays are adopted
-/// verbatim as TermIds — every process that fresh-loads the same file
-/// agrees on ids. The corpus owns copies of every term. `fingerprint`, when
-/// non-null, receives the file's content hash.
+/// bounds) before any payload is decoded; the file's columns then go
+/// straight to BuildCorpusFromColumns, the build BuildCorpus uses. `dict`,
+/// when non-null, seeds the corpus dictionary (shared KB dictionaries);
+/// null means a fresh one, in which case the file's code arrays are
+/// adopted verbatim as TermIds — every process that fresh-loads the same
+/// file agrees on ids. The corpus owns copies of every term. `fingerprint`,
+/// when non-null, receives the file's content hash.
 Status LoadColumnarCorpus(const std::string& path, double threshold,
                           std::shared_ptr<rdf::Dictionary> dict,
                           web::Corpus* corpus, uint64_t* fingerprint);

@@ -48,20 +48,11 @@ struct Footer {
 static_assert(sizeof(Footer) == 216);
 static_assert(offsetof(Footer, footer_crc) == 200);
 
-// The index region stores ColumnarSourceRun structs verbatim.
-static_assert(sizeof(ColumnarSourceRun) == 24);
-static_assert(offsetof(ColumnarSourceRun, first) == 8);
-static_assert(offsetof(ColumnarSourceRun, last) == 16);
-
-/// Header of the optional source-range index region (between the last
-/// section and the footer): count, CRC-32 of the entry bytes, reserved
-/// zero padding to 8 alignment. The entries follow immediately.
-struct IndexRegionHeader {
-  uint64_t count = 0;
-  uint32_t entries_crc = 0;
-  uint32_t reserved = 0;
-};
-static_assert(sizeof(IndexRegionHeader) == 16);
+/// Header bytes after the magic's NUL (10-15) are reserved zeros. Byte 10
+/// set to 1 marked files from earlier versions that carried a source-range
+/// index region before the footer; Open names that case.
+constexpr size_t kReservedHeaderStart = sizeof(kColumnarMagic);
+constexpr unsigned char kRetiredSourceIndexFlag = 1;
 
 constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
@@ -85,10 +76,6 @@ struct OutStream {
   uint32_t crc = 0;
   uint64_t fnv = kFnvOffset;
   bool failed = false;
-  /// Cleared while writing hash-exempt bytes (the source-range index
-  /// region), so the content hash identifies the record content and an
-  /// indexed file fingerprints identically to an unindexed one.
-  bool hashing = true;
 
   void Write(const void* p, size_t len) {
     if (failed || len == 0) return;
@@ -97,7 +84,7 @@ struct OutStream {
       return;
     }
     crc = Crc32(p, len, crc);
-    if (hashing) fnv = Fnv1a64Chain(p, len, fnv);
+    fnv = Fnv1a64Chain(p, len, fnv);
     offset += len;
   }
 
@@ -140,25 +127,6 @@ void ColumnarWriter::RemoveSpills() {
 void ColumnarWriter::AddRecord(uint32_t url_code, uint32_t subject,
                                uint32_t predicate, uint32_t object,
                                double confidence) {
-  // Source-run tracking for the index: the stream stays "grouped" while
-  // each record either extends the current run or opens run k with url
-  // code k (first-appearance code assignment over a grouped stream). Any
-  // other pattern — a code reappearing after another, or codes out of
-  // appearance order — drops the index, never errors.
-  if (grouped_) {
-    if (runs_.empty() || runs_.back().url_code != url_code) {
-      if (url_code == runs_.size()) {
-        runs_.push_back(
-            ColumnarSourceRun{url_code, 0, num_records_, num_records_ + 1});
-      } else {
-        grouped_ = false;
-        runs_.clear();
-        runs_.shrink_to_fit();
-      }
-    } else {
-      runs_.back().last = num_records_ + 1;
-    }
-  }
   conf_buf_.push_back(confidence);
   code_buf_[0].push_back(url_code);
   code_buf_[1].push_back(subject);
@@ -258,20 +226,10 @@ Status ColumnarWriter::Finish(size_t num_terms, const DictFn& term,
     return status;
   };
 
-  // Header: magic, flags byte, zero pad to 16 bytes. The content hash
-  // chains over the CANONICAL header (flags zeroed): the index flag must
-  // not perturb the fingerprint, which identifies record content only.
-  const bool write_index = grouped_ && num_records_ > 0;
+  // Header: magic, zero pad to 16 bytes.
   char header[kColumnarHeaderSize] = {};
   std::memcpy(header, kColumnarMagic, sizeof(kColumnarMagic));
-  out.fnv = Fnv1a64Chain(header, sizeof(header), out.fnv);
-  if (write_index) {
-    header[kColumnarFlagsOffset] =
-        static_cast<char>(kColumnarFlagSourceIndex);
-  }
-  out.hashing = false;
   out.Write(header, sizeof(header));
-  out.hashing = true;
 
   Footer footer;
   footer.num_records = num_records_;
@@ -340,20 +298,6 @@ Status ColumnarWriter::Finish(size_t num_terms, const DictFn& term,
   }
   out.Pad();
 
-  // Optional source-range index region: header + entries, excluded from
-  // the content hash (its own CRC covers the entries; the geometry checks
-  // cover the region header). The region is 8-aligned by construction.
-  if (write_index) {
-    IndexRegionHeader index_header;
-    index_header.count = runs_.size();
-    index_header.entries_crc =
-        Crc32(runs_.data(), runs_.size() * sizeof(ColumnarSourceRun));
-    out.hashing = false;
-    out.Write(&index_header, sizeof(index_header));
-    out.Write(runs_.data(), runs_.size() * sizeof(ColumnarSourceRun));
-    out.hashing = true;
-  }
-
   footer.content_hash = out.fnv;
   std::memcpy(footer.magic, kColumnarMagic, sizeof(kColumnarMagic));
   footer.footer_crc = Crc32(&footer, offsetof(Footer, footer_crc));
@@ -403,15 +347,12 @@ Status ColumnarWriter::Finish(size_t num_terms, const DictFn& term,
   }
   RemoveSpills();
   content_fingerprint_ = footer.content_hash;
-  wrote_source_index_ = write_index;
   return Status::OK();
 }
 
 void ColumnarReader::Swap(ColumnarReader* other) {
   std::swap(base_, other->base_);
   std::swap(map_size_, other->map_size_);
-  std::swap(index_runs_, other->index_runs_);
-  std::swap(num_index_runs_, other->num_index_runs_);
   std::swap(num_records_, other->num_records_);
   std::swap(num_terms_, other->num_terms_);
   std::swap(num_urls_, other->num_urls_);
@@ -439,8 +380,6 @@ void ColumnarReader::Close() {
   terms_blob_ = urls_blob_ = nullptr;
   confidences_ = nullptr;
   url_codes_ = subjects_ = predicates_ = objects_ = nullptr;
-  index_runs_ = nullptr;
-  num_index_runs_ = 0;
 }
 
 Status ColumnarReader::Open(const std::string& path,
@@ -478,15 +417,15 @@ Status ColumnarReader::Open(const std::string& path,
   if (std::memcmp(base_, kColumnarMagic, sizeof(kColumnarMagic)) != 0) {
     return corrupt("bad header magic");
   }
-  // Header flags byte + reserved tail. Unknown flag bits and nonzero
-  // reserved bytes are rejected so every header byte stays semantic (the
-  // bit-flip fuzz relies on that).
-  const auto flags =
-      static_cast<unsigned char>(base_[kColumnarFlagsOffset]);
-  if ((flags & ~kColumnarFlagSourceIndex) != 0) {
-    return corrupt("unknown header flag bits");
+  // Nonzero reserved header bytes are rejected so every header byte stays
+  // semantic (the bit-flip fuzz relies on that).
+  if (static_cast<unsigned char>(base_[kReservedHeaderStart]) ==
+      kRetiredSourceIndexFlag) {
+    return corrupt(
+        "carries the retired source-range index (header byte 10); "
+        "re-write it from its TSV dump with `midas convert`");
   }
-  for (size_t i = kColumnarFlagsOffset + 1; i < kColumnarHeaderSize; ++i) {
+  for (size_t i = kReservedHeaderStart; i < kColumnarHeaderSize; ++i) {
     if (base_[i] != 0) return corrupt("nonzero reserved header byte");
   }
   Footer footer;
@@ -515,46 +454,9 @@ Status ColumnarReader::Open(const std::string& path,
     prev_end = info.offset + info.size;
   }
 
-  // Between the last section and the footer sits either alignment padding
-  // (< 8 bytes) or the source-range index region, as announced by the
-  // header flag — either way the geometry is exact, so clearing the flag
-  // on an indexed file (or setting it on a plain one) is corruption.
-  const uint64_t index_offset = (prev_end + 7) & ~uint64_t{7};
-  if ((flags & kColumnarFlagSourceIndex) != 0) {
-    if (body_end < index_offset ||
-        body_end - index_offset < sizeof(IndexRegionHeader)) {
-      return corrupt("source index region out of bounds");
-    }
-    IndexRegionHeader index_header;
-    std::memcpy(&index_header, base_ + index_offset, sizeof(index_header));
-    if (index_header.reserved != 0) {
-      return corrupt("nonzero reserved bytes in source index header");
-    }
-    const uint64_t entry_bytes =
-        body_end - index_offset - sizeof(IndexRegionHeader);
-    if (index_header.count > entry_bytes / sizeof(ColumnarSourceRun) ||
-        index_header.count * sizeof(ColumnarSourceRun) != entry_bytes) {
-      return corrupt("source index count does not match region size");
-    }
-    const char* entries = base_ + index_offset + sizeof(IndexRegionHeader);
-    if (Crc32(entries, entry_bytes) != index_header.entries_crc) {
-      return corrupt("source index CRC mismatch");
-    }
-    const auto* runs = reinterpret_cast<const ColumnarSourceRun*>(entries);
-    uint64_t prev_last = 0;
-    for (uint64_t i = 0; i < index_header.count; ++i) {
-      const ColumnarSourceRun& run = runs[i];
-      if (run.reserved != 0 || run.url_code >= footer.num_urls ||
-          (i > 0 && run.url_code <= runs[i - 1].url_code) ||
-          run.first >= run.last || run.last > footer.num_records ||
-          run.first < prev_last) {
-        return corrupt("malformed source index run " + std::to_string(i));
-      }
-      prev_last = run.last;
-    }
-    index_runs_ = runs;
-    num_index_runs_ = index_header.count;
-  } else if (index_offset != body_end) {
+  // Only alignment padding (< 8 bytes) sits between the last section and
+  // the footer.
+  if (((prev_end + 7) & ~uint64_t{7}) != body_end) {
     return corrupt("unaccounted bytes between sections and footer");
   }
 

@@ -33,16 +33,6 @@ inline constexpr char kColumnarMagic[] = "MIDASCOL1";  // 9 chars + NUL
 inline constexpr size_t kColumnarHeaderSize = 16;
 inline constexpr size_t kColumnarNumSections = 7;
 
-/// Header byte 10 is a flags byte (zero in files written before the flag
-/// existed). Readers reject unknown bits; the magic comparison covers only
-/// the first 10 bytes, so flagged files still sniff as MIDASCOL1.
-inline constexpr size_t kColumnarFlagsOffset = 10;
-/// The file carries the optional source-range index region between the
-/// last section and the footer (see docs/FORMATS.md). The region is
-/// excluded from the footer content hash — and so is this flag bit — so an
-/// indexed and an unindexed copy of the same records share a fingerprint.
-inline constexpr unsigned char kColumnarFlagSourceIndex = 1;
-
 /// Section indices, in file order.
 enum ColumnarSection : size_t {
   kSectionTerms = 0,     // dictionary for subject/predicate/object terms
@@ -52,19 +42,6 @@ enum ColumnarSection : size_t {
   kSectionSubject = 4,     // u32[num_records]
   kSectionPredicate = 5,   // u32[num_records]
   kSectionObject = 6,      // u32[num_records]
-};
-
-/// One entry of the source-range index: all records of `url_code` occupy
-/// [first, last) in the record columns. Entries are stored sorted by
-/// url_code AND by position (our writers assign url codes in
-/// first-appearance order over a source-grouped stream, so the two orders
-/// coincide); runs are non-empty and non-overlapping. The on-disk entry is
-/// this struct verbatim (24 bytes, little-endian).
-struct ColumnarSourceRun {
-  uint32_t url_code = 0;
-  uint32_t reserved = 0;
-  uint64_t first = 0;  // first record of the run
-  uint64_t last = 0;   // one past the last record of the run
 };
 
 /// Streaming writer. Records are appended one at a time; bounded in-memory
@@ -104,17 +81,8 @@ class ColumnarWriter {
                 const std::vector<std::string>& urls);
 
   /// The content hash written into the footer; valid after a successful
-  /// Finish. Checkpoint fingerprints bind to this. The hash excludes the
-  /// source-range index region and the header flag bit that announces it,
-  /// so it identifies the record content, not the presence of the index.
+  /// Finish. Checkpoint fingerprints bind to this.
   uint64_t content_fingerprint() const { return content_fingerprint_; }
-
-  /// True after a successful Finish iff the file carries the source-range
-  /// index region. The writer emits it automatically when the record
-  /// stream was source-grouped with url codes assigned in first-appearance
-  /// order (the layout every writer in this repo produces); an interleaved
-  /// stream gets no index, never an error.
-  bool wrote_source_index() const { return wrote_source_index_; }
 
  private:
   struct ColumnBuffers;
@@ -128,11 +96,6 @@ class ColumnarWriter {
   uint32_t max_url_code_ = 0;
   uint64_t content_fingerprint_ = 0;
   bool finished_ = false;
-  bool wrote_source_index_ = false;
-  /// Source-run tracking for the index: stays true while every record's
-  /// url code either extends the current run or opens run k with code k.
-  bool grouped_ = true;
-  std::vector<ColumnarSourceRun> runs_;
   Status spill_status_;  // sticky: first spill write error
   std::vector<double> conf_buf_;
   std::vector<uint32_t> code_buf_[4];  // url, subject, predicate, object
@@ -199,15 +162,6 @@ class ColumnarReader {
   const uint32_t* predicates() const { return predicates_; }
   const uint32_t* objects() const { return objects_; }
 
-  /// Source-range index accessors. The index is optional (old files and
-  /// interleaved dumps lack it); when present its geometry, CRC, and run
-  /// invariants were validated at Open regardless of verify options.
-  bool has_source_index() const { return index_runs_ != nullptr; }
-  uint64_t num_source_runs() const { return num_index_runs_; }
-  /// All runs, sorted by url_code and by position. Pointer into the
-  /// mapping; null without an index.
-  const ColumnarSourceRun* source_runs() const { return index_runs_; }
-
  private:
   void Swap(ColumnarReader* other);
 
@@ -217,8 +171,6 @@ class ColumnarReader {
   uint64_t num_terms_ = 0;
   uint64_t num_urls_ = 0;
   uint64_t content_fingerprint_ = 0;
-  const ColumnarSourceRun* index_runs_ = nullptr;
-  uint64_t num_index_runs_ = 0;
   const uint64_t* term_offsets_ = nullptr;
   const char* terms_blob_ = nullptr;
   const uint64_t* url_offsets_ = nullptr;

@@ -38,8 +38,8 @@ class Corpus {
   size_t AddFact(const std::string& url, const rdf::Triple& triple);
 
   /// Registers (or finds) the source for a normalized URL without adding a
-  /// fact; returns its index. The columnar fast path resolves each distinct
-  /// URL code once through this, then streams facts by index.
+  /// fact; returns its index. The bulk corpus build resolves each distinct
+  /// URL code once through this, then appends facts by index.
   size_t AddSource(const std::string& url);
 
   /// Adds `triple` to the source at `index` (from AddSource/AddFact), with
@@ -48,9 +48,10 @@ class Corpus {
 
   /// Bulk adoption: appends `triple` to source `index` WITHOUT recording it
   /// in the dedup set — the caller guarantees the (source, triple) pair is
-  /// new (the columnar loader dedups on raw codes before remapping). Later
-  /// AddFact calls on the same source may therefore re-insert triples
-  /// appended this way; bulk-loaded corpora are read-only discovery inputs.
+  /// new (extract::BuildCorpusFromColumns, the one bulk build, dedups each
+  /// source's records before appending them). Later AddFact calls on the
+  /// same source may therefore re-insert triples appended this way until
+  /// RebuildDedupIndex runs.
   void AppendFactToSourceUnchecked(size_t index, const rdf::Triple& triple);
 
   /// Convenience: interns terms and normalizes the URL.

@@ -1,7 +1,9 @@
 // TSV <-> columnar equivalence on randomized extraction dumps: both
 // formats must yield the same facts, the same TermIds (fresh-dictionary
 // load), and bit-identical corpora — which makes everything downstream
-// (slices, profits, dedup hashes) independent of the on-disk format.
+// (slices, profits, dedup hashes) independent of the on-disk format. Corpus
+// loads are checked against a reference built here, one Corpus::AddFact
+// per surviving record, not against the shared corpus build itself.
 
 #include "midas/extract/columnar_io.h"
 
@@ -12,16 +14,32 @@
 #include <string>
 #include <vector>
 
+#include "common/dump_layouts.h"
 #include "common/test_dir.h"
 #include "midas/extract/dump_io.h"
 #include "midas/extract/extraction.h"
 #include "midas/rdf/dictionary.h"
+#include "midas/store/columnar.h"
 #include "midas/util/random.h"
+#include "midas/web/url.h"
 #include "midas/web/web_source.h"
 
 namespace midas {
 namespace extract {
 namespace {
+
+// The reference corpus: records with confidence > threshold, each added
+// through Corpus::AddFact, whose per-source triple set drops duplicate
+// (url, triple) pairs. Sources come out in first-appearance order.
+web::Corpus ReferenceCorpus(const ExtractionDump& dump, double threshold) {
+  web::Corpus corpus(dump.dict);
+  for (const ExtractedFact& fact : dump.facts) {
+    if (fact.confidence > threshold) {
+      corpus.AddFact(web::NormalizeUrl(fact.url), fact.triple);
+    }
+  }
+  return corpus;
+}
 
 class ColumnarRoundtripTest : public ::testing::Test {
  protected:
@@ -94,7 +112,7 @@ class ColumnarRoundtripTest : public ::testing::Test {
       ASSERT_EQ(sa.facts.size(), sb.facts.size()) << "source " << s;
       for (size_t f = 0; f < sa.facts.size(); ++f) {
         // Raw TermId equality: the columnar fast path must reproduce the
-        // exact ids BuildCorpus assigns, not merely equivalent strings.
+        // dump's exact ids, not merely equivalent strings.
         EXPECT_EQ(sa.facts[f].subject, sb.facts[f].subject);
         EXPECT_EQ(sa.facts[f].predicate, sb.facts[f].predicate);
         EXPECT_EQ(sa.facts[f].object, sb.facts[f].object);
@@ -149,14 +167,14 @@ TEST_F(ColumnarRoundtripTest, FastCorpusPathMatchesBuildCorpus) {
     const ExtractionDump dump = MakeDump(4000, seed);
     ASSERT_TRUE(SaveColumnarDump(col_path_, dump).ok());
 
-    const web::Corpus reference = BuildCorpus(dump, 0.7);
+    const web::Corpus reference = ReferenceCorpus(dump, 0.7);
     web::Corpus fast;
     uint64_t fingerprint = 0;
     ASSERT_TRUE(LoadColumnarCorpus(col_path_, 0.7, /*dict=*/nullptr, &fast,
                                    &fingerprint)
                     .ok());
     EXPECT_NE(fingerprint, 0u);
-    ExpectCorporaIdentical(reference, fast);
+    ASSERT_NO_FATAL_FAILURE(ExpectCorporaIdentical(reference, fast));
     // Same TermId space too: resolved strings match under each corpus's
     // own dictionary.
     for (size_t s = 0; s < reference.NumSources(); ++s) {
@@ -169,10 +187,9 @@ TEST_F(ColumnarRoundtripTest, FastCorpusPathMatchesBuildCorpus) {
 }
 
 TEST_F(ColumnarRoundtripTest, SourceGroupedDumpMatchesBuildCorpus) {
-  // Grouping all of a source's records contiguously (the layout every
-  // writer in this repo produces) routes LoadColumnarCorpus through its
-  // per-run dedup fast path; MakeDump's random URL order (the other tests)
-  // covers the interleaved fallback. Both must match BuildCorpus exactly.
+  // Grouping all of a source's records contiguously is the layout every
+  // writer in this repo produces; MakeDump's random URL order (the other
+  // tests) covers interleaved files. Both must match the reference.
   for (uint64_t seed : {21u, 22u}) {
     ExtractionDump dump = MakeDump(4000, seed);
     std::stable_sort(dump.facts.begin(), dump.facts.end(),
@@ -181,7 +198,7 @@ TEST_F(ColumnarRoundtripTest, SourceGroupedDumpMatchesBuildCorpus) {
                      });
     ASSERT_TRUE(SaveColumnarDump(col_path_, dump).ok());
 
-    const web::Corpus reference = BuildCorpus(dump, 0.7);
+    const web::Corpus reference = ReferenceCorpus(dump, 0.7);
     web::Corpus fast;
     ASSERT_TRUE(
         LoadColumnarCorpus(col_path_, 0.7, /*dict=*/nullptr, &fast, nullptr)
@@ -199,7 +216,7 @@ TEST_F(ColumnarRoundtripTest, PreSeededDictionaryRemapsCodes) {
   auto seeded = std::make_shared<rdf::Dictionary>();
   seeded->Intern("pre-existing-kb-term-a");
   seeded->Intern("pre-existing-kb-term-b");
-  const web::Corpus reference = BuildCorpus(dump, 0.7);
+  const web::Corpus reference = ReferenceCorpus(dump, 0.7);
 
   web::Corpus remapped;
   ASSERT_TRUE(
@@ -229,7 +246,7 @@ TEST_F(ColumnarRoundtripTest, ThresholdFiltersExactlyLikeBuildCorpus) {
   const ExtractionDump dump = MakeDump(2500, 7);
   ASSERT_TRUE(SaveColumnarDump(col_path_, dump).ok());
   for (double threshold : {0.0, 0.5, 0.7, 0.95, 1.0}) {
-    const web::Corpus reference = BuildCorpus(dump, threshold);
+    const web::Corpus reference = ReferenceCorpus(dump, threshold);
     web::Corpus fast;
     ASSERT_TRUE(
         LoadColumnarCorpus(col_path_, threshold, nullptr, &fast, nullptr)
@@ -260,6 +277,98 @@ TEST_F(ColumnarRoundtripTest, FingerprintIsStableAcrossSaves) {
   ASSERT_TRUE(SaveColumnarDump(col_path_, dump).ok());  // rewrite
   ASSERT_TRUE(LoadColumnarDump(col_path_, &scratch2, nullptr, &fp2).ok());
   EXPECT_EQ(fp1, fp2);
+}
+
+// Corpus-build cases over hand-shaped columnar files.
+class CorpusBuildTest : public ColumnarRoundtripTest {
+ protected:
+  // Stable-groups `dump` by URL in first-appearance order.
+  static ExtractionDump Grouped(ExtractionDump dump) {
+    std::vector<std::string> order;
+    for (const ExtractedFact& fact : dump.facts) {
+      if (std::find(order.begin(), order.end(), fact.url) == order.end()) {
+        order.push_back(fact.url);
+      }
+    }
+    const auto rank = [&order](const std::string& url) {
+      return std::find(order.begin(), order.end(), url) - order.begin();
+    };
+    std::stable_sort(dump.facts.begin(), dump.facts.end(),
+                     [&rank](const ExtractedFact& a, const ExtractedFact& b) {
+                       return rank(a.url) < rank(b.url);
+                     });
+    return dump;
+  }
+
+  web::Corpus LoadCorpus(const ExtractionDump& dump) {
+    EXPECT_TRUE(SaveColumnarDump(col_path_, dump).ok());
+    web::Corpus corpus;
+    EXPECT_TRUE(
+        LoadColumnarCorpus(col_path_, 0.7, nullptr, &corpus, nullptr).ok());
+    return corpus;
+  }
+};
+
+// Distinct URL dictionary entries that normalize to one URL, interleaved
+// with another source and sharing a triple, build one deduplicated source.
+TEST_F(CorpusBuildTest, EquivalentUrlCodesBuildOneSource) {
+  ExtractionDump dump;
+  dump.dict = std::make_shared<rdf::Dictionary>();
+  const auto add = [&dump](const char* url, const char* s, const char* o) {
+    dump.facts.push_back(ExtractedFact{
+        url,
+        rdf::Triple(dump.dict->Intern(s), dump.dict->Intern("p"),
+                    dump.dict->Intern(o)),
+        0.9});
+  };
+  add("HTTP://A.com/x", "s1", "o1");
+  add("http://b.com/y", "s1", "o1");
+  add("http://a.com/x", "s1", "o1");  // same source, same triple
+  add("http://a.com/x", "s2", "o2");
+  add("HTTP://A.com/x", "s2", "o2");  // same source, same triple
+  add("http://b.com/y", "s3", "o3");
+  add("HTTP://A.com/x", "s3", "o3");
+  ASSERT_TRUE(SaveColumnarDump(col_path_, dump).ok());
+  {
+    store::ColumnarReader reader;
+    ASSERT_TRUE(reader.Open(col_path_).ok());
+    ASSERT_EQ(reader.num_urls(), 3u);  // two spellings of one source
+  }
+
+  web::Corpus corpus;
+  ASSERT_TRUE(
+      LoadColumnarCorpus(col_path_, 0.7, nullptr, &corpus, nullptr).ok());
+  const web::Corpus reference = ReferenceCorpus(dump, 0.7);
+  ExpectCorporaIdentical(reference, corpus);
+  ASSERT_EQ(corpus.NumSources(), 2u);
+  EXPECT_EQ(corpus.sources()[0].url, web::NormalizeUrl("http://a.com/x"));
+  EXPECT_EQ(corpus.sources()[0].facts.size(), 3u);
+  EXPECT_EQ(corpus.sources()[1].facts.size(), 2u);
+}
+
+// A round-robin interleaving of a grouped dump keeps the order of every
+// source's first surviving record and each source's record order, so it
+// builds the grouped dump's corpus, in both formats.
+TEST_F(CorpusBuildTest, RoundRobinInterleavingMatchesGroupedDump) {
+  for (uint64_t seed : {31u, 32u}) {
+    const ExtractionDump grouped = Grouped(MakeDump(3000, seed));
+    const ExtractionDump interleaved = tests::RoundRobin(grouped, 0.7);
+    ASSERT_EQ(interleaved.facts.size(), grouped.facts.size());
+    const auto runs = [](const ExtractionDump& dump) {
+      size_t n = 1;
+      for (size_t i = 1; i < dump.facts.size(); ++i) {
+        n += dump.facts[i].url != dump.facts[i - 1].url;
+      }
+      return n;
+    };
+    ASSERT_GT(runs(interleaved), 10 * runs(grouped));
+
+    const web::Corpus reference = ReferenceCorpus(grouped, 0.7);
+    ExpectCorporaIdentical(reference, LoadCorpus(grouped));
+    ExpectCorporaIdentical(reference, LoadCorpus(interleaved));
+    ExpectCorporaIdentical(reference, BuildCorpus(grouped, 0.7));
+    ExpectCorporaIdentical(reference, BuildCorpus(interleaved, 0.7));
+  }
 }
 
 }  // namespace

@@ -29,14 +29,22 @@ ExtractionDump MakeDump() {
   return dump;
 }
 
-TEST(FilterByConfidenceTest, KeepsStrictlyAbove) {
-  auto dump = MakeDump();
-  auto kept = FilterByConfidence(dump.facts, 0.7);
-  EXPECT_EQ(kept.size(), 3u);
-  kept = FilterByConfidence(dump.facts, 0.72);  // strict >
-  EXPECT_EQ(kept.size(), 2u);
-  kept = FilterByConfidence(dump.facts, 0.0);
-  EXPECT_EQ(kept.size(), 4u);
+// The reference: one Corpus::AddFact per record with confidence >
+// threshold, independent of the shared corpus build.
+web::Corpus ReferenceCorpus(const ExtractionDump& dump, double threshold) {
+  web::Corpus corpus(dump.dict);
+  for (const ExtractedFact& fact : dump.facts) {
+    if (fact.confidence > threshold) corpus.AddFact(fact.url, fact.triple);
+  }
+  return corpus;
+}
+
+void ExpectSameSources(const web::Corpus& a, const web::Corpus& b) {
+  ASSERT_EQ(a.NumSources(), b.NumSources());
+  for (size_t s = 0; s < a.NumSources(); ++s) {
+    EXPECT_EQ(a.sources()[s].url, b.sources()[s].url);
+    EXPECT_EQ(a.sources()[s].facts, b.sources()[s].facts);
+  }
 }
 
 TEST(BuildCorpusTest, GroupsByUrlAndFilters) {
@@ -47,6 +55,15 @@ TEST(BuildCorpusTest, GroupsByUrlAndFilters) {
   ASSERT_NE(a, nullptr);
   EXPECT_EQ(a->facts.size(), 2u);  // noise fact filtered out
   EXPECT_EQ(corpus.shared_dict().get(), dump.dict.get());
+  // Duplicate records collapse, and the threshold is strict: a record at
+  // exactly the threshold is dropped.
+  dump.facts.push_back(dump.facts[0]);
+  for (double threshold : {0.0, 0.7, 0.72, 0.88, 0.95}) {
+    ExpectSameSources(ReferenceCorpus(dump, threshold),
+                      BuildCorpus(dump, threshold));
+  }
+  EXPECT_EQ(BuildCorpus(dump, 0.72).FindSource("http://x.com/a")->facts.size(),
+            1u);
 }
 
 TEST(DumpIoTest, SaveLoadRoundTrip) {

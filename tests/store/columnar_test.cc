@@ -246,102 +246,34 @@ TEST_F(ColumnarTest, MissingFileIsNotFound) {
   EXPECT_EQ(reader.Open(path_).code(), StatusCode::kNotFound);
 }
 
-// A grouped record stream (every url's records contiguous, codes in
-// first-appearance order) gets the source-range index; the runs must name
-// the exact record intervals.
-TEST_F(ColumnarTest, GroupedFileCarriesSourceIndex) {
-  ColumnarWriter writer(path_);
-  const uint32_t url_of_record[] = {0, 0, 0, 1, 2, 2};
-  for (uint32_t url : url_of_record) writer.AddRecord(url, 0, 1, 2, 0.5);
-  ASSERT_TRUE(writer.Finish(MakeTerms(3), MakeUrls(3)).ok());
-  EXPECT_TRUE(writer.wrote_source_index());
-
+// Header bytes 10-15 are reserved zeros. Byte 10 set to 1 marked files
+// that carried the retired source-range index; Open rejects them and names
+// the way out. Any other nonzero reserved byte is plain corruption.
+TEST_F(ColumnarTest, ReservedHeaderBytesRejected) {
+  WriteFile(MakeRecords(16, 3, 2, 8), MakeTerms(3), MakeUrls(2));
+  const std::string bytes = ReadFileBytes(path_);
   ColumnarReader reader;
   ASSERT_TRUE(reader.Open(path_).ok());
-  ASSERT_TRUE(reader.has_source_index());
-  ASSERT_EQ(reader.num_source_runs(), 3u);
-  const ColumnarSourceRun* runs = reader.source_runs();
-  EXPECT_EQ(runs[0].url_code, 0u);
-  EXPECT_EQ(runs[0].first, 0u);
-  EXPECT_EQ(runs[0].last, 3u);
-  EXPECT_EQ(runs[1].url_code, 1u);
-  EXPECT_EQ(runs[1].first, 3u);
-  EXPECT_EQ(runs[1].last, 4u);
-  EXPECT_EQ(runs[2].url_code, 2u);
-  EXPECT_EQ(runs[2].first, 4u);
-  EXPECT_EQ(runs[2].last, 6u);
-}
-
-TEST_F(ColumnarTest, InterleavedFileHasNoIndex) {
-  ColumnarWriter writer(path_);
-  for (uint32_t url : {0u, 1u, 0u}) writer.AddRecord(url, 0, 0, 0, 0.5);
-  ASSERT_TRUE(writer.Finish(MakeTerms(1), MakeUrls(2)).ok());
-  EXPECT_FALSE(writer.wrote_source_index());
-  ColumnarReader reader;
-  ASSERT_TRUE(reader.Open(path_).ok());
-  EXPECT_FALSE(reader.has_source_index());
-  EXPECT_EQ(reader.num_source_runs(), 0u);
-  EXPECT_EQ(reader.source_runs(), nullptr);
-}
-
-// The index region and its announcing flag bit are excluded from the
-// content hash: surgically stripping them yields a byte-valid legacy file
-// with the SAME fingerprint — which is what lets a worker without an index
-// still match the coordinator's corpus hash.
-TEST_F(ColumnarTest, StrippedIndexReadsAsLegacyFileWithSameFingerprint) {
-  ColumnarWriter writer(path_);
-  for (uint32_t url : {0u, 0u, 1u, 1u, 2u}) {
-    writer.AddRecord(url, url, 0, 1, 0.25 * url + 0.1);
-  }
-  ASSERT_TRUE(writer.Finish(MakeTerms(3), MakeUrls(3)).ok());
-  ColumnarReader reader;
-  ASSERT_TRUE(reader.Open(path_).ok());
-  ASSERT_TRUE(reader.has_source_index());
-  const uint64_t fingerprint = reader.content_fingerprint();
-  const size_t index_bytes = 16 + 24 * reader.num_source_runs();
   reader.Close();
 
-  std::string bytes = ReadFileBytes(path_);
-  const size_t body_end = bytes.size() - 216;  // footer is fixed-size
-  bytes.erase(body_end - index_bytes, index_bytes);
-  bytes[10] = 0;  // clear the source-index flag
-  WriteFileBytes(path_, bytes);
+  std::string flagged = bytes;
+  flagged[10] = 1;
+  WriteFileBytes(path_, flagged);
+  Status status = reader.Open(path_);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+  EXPECT_NE(status.message().find("source-range index"), std::string::npos);
+  EXPECT_NE(status.message().find("midas convert"), std::string::npos);
+  EXPECT_FALSE(reader.is_open());
 
-  ASSERT_TRUE(reader.Open(path_).ok());
-  EXPECT_FALSE(reader.has_source_index());
-  EXPECT_EQ(reader.content_fingerprint(), fingerprint);
-  EXPECT_EQ(reader.num_records(), 5u);
-}
-
-// Every byte of the index region (and the flag byte announcing it) is
-// semantic: any single-byte flip must be rejected at Open.
-TEST_F(ColumnarTest, IndexRegionBitFlipsRejected) {
-  ColumnarWriter writer(path_);
-  for (uint32_t url : {0u, 0u, 1u, 2u, 2u, 2u}) {
-    writer.AddRecord(url, 0, 1, 2, 0.5);
-  }
-  ASSERT_TRUE(writer.Finish(MakeTerms(3), MakeUrls(3)).ok());
-  ColumnarReader probe;
-  ASSERT_TRUE(probe.Open(path_).ok());
-  const size_t index_bytes = 16 + 24 * probe.num_source_runs();
-  probe.Close();
-
-  const std::string bytes = ReadFileBytes(path_);
-  const size_t index_start = bytes.size() - 216 - index_bytes;
-  for (size_t pos : {size_t{10}}) {  // the flag byte
+  for (size_t pos = 10; pos < 16; ++pos) {
     std::string corrupt = bytes;
-    corrupt[pos] = static_cast<char>(corrupt[pos] ^ 1);
+    corrupt[pos] = static_cast<char>(0x80);
     WriteFileBytes(path_, corrupt);
-    ColumnarReader reader;
-    EXPECT_FALSE(reader.Open(path_).ok()) << "flag byte flip accepted";
-  }
-  for (size_t pos = index_start; pos < index_start + index_bytes; ++pos) {
-    std::string corrupt = bytes;
-    corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x10);
-    WriteFileBytes(path_, corrupt);
-    ColumnarReader reader;
-    EXPECT_FALSE(reader.Open(path_).ok())
-        << "index byte flip at " << pos << " accepted";
+    status = reader.Open(path_);
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << "byte " << pos;
+    EXPECT_NE(status.message().find("nonzero reserved header byte"),
+              std::string::npos)
+        << "byte " << pos << ": " << status.ToString();
   }
 }
 

@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <csignal>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <ostream>
 #include <unordered_map>
@@ -29,7 +30,6 @@
 #include "midas/rdf/ntriples.h"
 #include "midas/serve/discovery_service.h"
 #include "midas/serve/http_server.h"
-#include "midas/store/columnar.h"
 #include "midas/synth/corpus_generator.h"
 #include "midas/synth/dataset_stats.h"
 #include "midas/util/json.h"
@@ -301,49 +301,65 @@ struct DiscoverSetup {
   uint64_t detector_context = 0;
 };
 
+/// Loads a dump into `corpus` the one way `midas discover` and `midas
+/// serve` share: a columnar file goes straight to the corpus build, a TSV
+/// file (or any file when `row_step` is set) is loaded row by row into
+/// `dump` first. `row_step`, when set, runs on those rows before the
+/// build. `dump->dict` ends up as the corpus dictionary either way.
+Status LoadCorpus(
+    const std::string& path, double threshold,
+    const extract::LoadOptions& options,
+    const std::function<void(extract::ExtractionDump*)>& row_step,
+    extract::ExtractionDump* dump, extract::LoadStats* stats,
+    web::Corpus* corpus) {
+  if (extract::IsColumnarDump(path) && !row_step) {
+    MIDAS_RETURN_IF_ERROR(extract::LoadColumnarCorpus(
+        path, threshold, /*dict=*/nullptr, corpus, /*fingerprint=*/nullptr));
+    dump->dict = corpus->shared_dict();
+    return Status::OK();
+  }
+  MIDAS_RETURN_IF_ERROR(extract::LoadDump(path, options, dump, stats));
+  if (row_step) row_step(dump);
+  *corpus = extract::BuildCorpus(*dump, threshold);
+  return Status::OK();
+}
+
 /// Loads --dump into setup->dump and setup->corpus (BuildDiscoverSetup's
-/// "extract.load" span).
+/// "extract.load" span). --clean needs row-level facts, so it takes the row
+/// path for columnar dumps too.
 Status LoadDiscoverCorpus(const FlagParser& flags, std::ostream& out,
                           DiscoverSetup* setup) {
   const bool json = flags.GetBool("json");
-  const std::string dump_path = flags.GetString("dump");
-  if (extract::IsColumnarDump(dump_path) && !flags.GetBool("clean")) {
-    // Columnar fast path: build the confidence-filtered corpus straight
-    // from the mmap'd code arrays — no per-row materialization. --clean
-    // needs row-level facts, so it takes the generic path below (LoadDump
-    // auto-detects the format there too).
-    MIDAS_RETURN_IF_ERROR(extract::LoadColumnarCorpus(
-        dump_path, flags.GetDouble("threshold"), nullptr, &setup->corpus,
-        nullptr));
-    setup->dump.dict = setup->corpus.shared_dict();
-  } else {
-    extract::LoadOptions load_options;
-    load_options.strict = flags.GetBool("strict_load");
-    MIDAS_RETURN_IF_ERROR(extract::LoadDump(dump_path, load_options,
-                                            &setup->dump,
-                                            &setup->load_stats));
-    if (setup->load_stats.rows_quarantined > 0 && !json) {
-      out << "quarantined " << setup->load_stats.rows_quarantined
-          << " malformed dump row(s)\n";
-    }
-    if (flags.GetBool("clean")) {
+  extract::LoadOptions load_options;
+  load_options.strict = flags.GetBool("strict_load");
+  std::function<void(extract::ExtractionDump*)> clean;
+  extract::CleaningStats clean_stats;
+  if (flags.GetBool("clean")) {
+    clean = [&flags, &clean_stats](extract::ExtractionDump* dump) {
       extract::CleaningOptions cleaning;
       for (std::string_view name :
            SplitSkipEmpty(flags.GetString("functional"), ',')) {
         cleaning.functional_predicates.emplace_back(name);
       }
-      auto clean_stats = extract::CleanExtractions(
-          cleaning, setup->dump.dict.get(), &setup->dump.facts);
-      if (!json) {
-        out << "cleaning: " << clean_stats.input_records << " -> "
-            << clean_stats.output_records << " records ("
-            << clean_stats.duplicates_merged << " duplicates, "
-            << clean_stats.conflicts_resolved << " conflicts, "
-            << clean_stats.terms_normalized << " terms normalized)\n";
-      }
-    }
-    setup->corpus =
-        extract::BuildCorpus(setup->dump, flags.GetDouble("threshold"));
+      clean_stats =
+          extract::CleanExtractions(cleaning, dump->dict.get(), &dump->facts);
+    };
+  }
+  MIDAS_RETURN_IF_ERROR(LoadCorpus(flags.GetString("dump"),
+                                   flags.GetDouble("threshold"), load_options,
+                                   clean, &setup->dump, &setup->load_stats,
+                                   &setup->corpus));
+  if (json) return Status::OK();
+  if (setup->load_stats.rows_quarantined > 0) {
+    out << "quarantined " << setup->load_stats.rows_quarantined
+        << " malformed dump row(s)\n";
+  }
+  if (clean) {
+    out << "cleaning: " << clean_stats.input_records << " -> "
+        << clean_stats.output_records << " records ("
+        << clean_stats.duplicates_merged << " duplicates, "
+        << clean_stats.conflicts_resolved << " conflicts, "
+        << clean_stats.terms_normalized << " terms normalized)\n";
   }
   return Status::OK();
 }
@@ -807,8 +823,8 @@ void RegisterConvertFlags(FlagParser* flags) {
                    "opposite of the detected input format)");
   flags->AddBool("reindex", false,
                  "with columnar output: stable-group records by source "
-                 "first, so the file carries the source-range index "
-                 "(docs/FORMATS.md)");
+                 "(sources in first-appearance order, each source's "
+                 "records in their input order)");
 }
 
 Status RunConvert(const FlagParser& flags, std::ostream& out) {
@@ -833,9 +849,8 @@ Status RunConvert(const FlagParser& flags, std::ostream& out) {
       extract::LoadDump(in_path, extract::LoadOptions{}, &dump, &load_stats));
   if (reindex) {
     // Stable-group records by URL in first-appearance order: each source's
-    // records become one contiguous run (per-source record order intact, so
-    // corpora built from the file are unchanged), which is the layout the
-    // columnar writer emits the source-range index for.
+    // records become one contiguous run, with per-source record order
+    // intact, so corpora built from the file are unchanged.
     std::unordered_map<std::string_view, uint32_t> first_seen;
     for (const extract::ExtractedFact& fact : dump.facts) {
       first_seen.try_emplace(fact.url,
@@ -856,18 +871,6 @@ Status RunConvert(const FlagParser& flags, std::ostream& out) {
   out << "converted " << dump.facts.size() << " records: " << in_path << " ("
       << (in_columnar ? "columnar" : "tsv") << ") -> " << out_path << " ("
       << to << ")\n";
-  if (to == "columnar") {
-    // Reopen to report whether the writer emitted the index (it does so
-    // whenever the stream was source-grouped, --reindex or not).
-    store::ColumnarReader reader;
-    MIDAS_RETURN_IF_ERROR(reader.Open(out_path));
-    out << "source-range index: "
-        << (reader.has_source_index() ? "present" : "absent") << " ("
-        << reader.num_source_runs() << " runs)\n";
-    if (reindex && !reader.has_source_index()) {
-      return Status::Internal("reindexed output carries no source index");
-    }
-  }
   return Status::OK();
 }
 
@@ -974,20 +977,14 @@ Status RunServe(const FlagParser& flags, std::ostream& out) {
   }
   ScopedDisarm disarm;
 
-  // Load exactly as `midas discover` would: columnar fast path when the
-  // magic matches, row-level TSV otherwise.
   const double threshold = flags.GetDouble("threshold");
   web::Corpus corpus;
   std::shared_ptr<rdf::Dictionary> dict;
-  if (extract::IsColumnarDump(corpus_path)) {
-    MIDAS_RETURN_IF_ERROR(extract::LoadColumnarCorpus(
-        corpus_path, threshold, /*dict=*/nullptr, &corpus,
-        /*fingerprint=*/nullptr));
-    dict = corpus.shared_dict();
-  } else {
+  {
     extract::ExtractionDump dump;
-    MIDAS_RETURN_IF_ERROR(extract::LoadDump(corpus_path, &dump));
-    corpus = extract::BuildCorpus(dump, threshold);
+    MIDAS_RETURN_IF_ERROR(LoadCorpus(corpus_path, threshold,
+                                     extract::LoadOptions{}, nullptr, &dump,
+                                     nullptr, &corpus));
     dict = dump.dict;
   }
   rdf::KnowledgeBase kb(dict);

@@ -63,6 +63,7 @@ Status RunStats(const FlagParser& flags, std::ostream& out);
 ///   --in PATH        input dump, TSV or columnar (required)
 ///   --out PATH       output path (required)
 ///   --to columnar|tsv|auto   output format (auto = opposite of input)
+///   --reindex        with columnar output: stable-group records by source
 Status RunConvert(const FlagParser& flags, std::ostream& out);
 
 /// `midas evaluate` — score a slice file against a silver-standard file:

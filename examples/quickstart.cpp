@@ -19,10 +19,13 @@ int main() {
   // The knowledge base we want to augment. It already knows about two
   // cocktails.
   rdf::KnowledgeBase kb(dict);
-  kb.Add("Mojito", "category", "cocktail");
-  kb.Add("Mojito", "ingredient", "rum");
-  kb.Add("Negroni", "category", "cocktail");
-  kb.Add("Negroni", "ingredient", "gin");
+  const auto fact = [&dict](const char* s, const char* p, const char* o) {
+    return rdf::Triple(dict->Intern(s), dict->Intern(p), dict->Intern(o));
+  };
+  kb.Add(fact("Mojito", "category", "cocktail"));
+  kb.Add(fact("Mojito", "ingredient", "rum"));
+  kb.Add(fact("Negroni", "category", "cocktail"));
+  kb.Add(fact("Negroni", "ingredient", "gin"));
 
   // Facts an automated extraction pipeline pulled from the web (already
   // filtered to high confidence). The cocktail pages of drinks.example.com

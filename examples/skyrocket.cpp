@@ -64,7 +64,11 @@ int main() {
   std::cout << "Input facts (paper Fig. 2):\n";
   for (const Fact& f : kFacts) {
     corpus.AddFactRaw(f.url, f.subject, f.predicate, f.object);
-    if (!f.is_new) freebase.Add(f.subject, f.predicate, f.object);
+    if (!f.is_new) {
+      freebase.Add(rdf::Triple(dict->Intern(f.subject),
+                               dict->Intern(f.predicate),
+                               dict->Intern(f.object)));
+    }
     std::cout << "  (" << f.subject << ", " << f.predicate << ", "
               << f.object << ")  new=" << (f.is_new ? "Y" : "N") << "\n";
   }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Reports the src/ code that no shipped binary links. Builds the shipped
+# Finds the src/ code that no shipped binary links. Builds the shipped
 # binaries — `midas`, `experiment`, the bench/fig* harnesses,
 # `ablation_design`, `macro_scale` and perfbench's `midas_bench` — in a
 # throwaway Release build with -ffunction-sections and -Wl,--gc-sections,
@@ -11,8 +11,9 @@
 # -fno-inline keeps a function that is called only where it was inlined
 # from reading as dropped. Functions with internal linkage (anonymous
 # namespaces, `static`) and inline or template functions (nm type W) are
-# not judged. Report only: the exit status says whether the build worked,
-# not whether dead code was found.
+# not judged. Exits 1 when any src/ object is unlinked (CI fails on a new
+# dead module); dropped functions are reported only, since test hooks and
+# reference implementations that tests compare against are among them.
 #
 # Usage: scripts/dead_code.sh [BUILD_DIR]
 #   BUILD_DIR is kept when given; by default a temporary directory is used
@@ -112,4 +113,5 @@ for src, funcs in dropped.items():
     print(f"  {src}")
     for name in funcs:
         print(f"    {name}")
+sys.exit(1 if unlinked else 0)
 EOF

@@ -43,11 +43,6 @@ size_t DetectionMemo::size() const {
   return entries_.size();
 }
 
-void DetectionMemo::Clear() {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  entries_.clear();
-}
-
 uint64_t DetectionMemo::ShardFingerprint(
     uint64_t context, const std::vector<rdf::Triple>& facts,
     const std::vector<std::vector<PropertyPair>>& seeds) {

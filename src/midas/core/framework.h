@@ -291,7 +291,6 @@ class DetectionMemo {
   void Update(const std::string& url, Entry entry);
 
   size_t size() const;
-  void Clear();
 
   /// The fingerprint a framework run computes for one shard: the memoized
   /// entry is reusable iff context, the normalized fact run, and the child

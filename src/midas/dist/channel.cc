@@ -71,16 +71,6 @@ FrameChannel::FrameChannel(int fd, std::string label, Transport transport)
 
 FrameChannel::~FrameChannel() { CloseFd(); }
 
-FrameChannel::FrameChannel(FrameChannel&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)),
-      label_(std::move(other.label_)),
-      transport_(other.transport_),
-      frames_sent_(other.frames_sent_),
-      peer_closed_(other.peer_closed_),
-      write_timeout_ms_(other.write_timeout_ms_),
-      partition_until_ms_(other.partition_until_ms_),
-      decoder_(std::move(other.decoder_)) {}
-
 FrameChannel& FrameChannel::operator=(FrameChannel&& other) noexcept {
   if (this != &other) {
     CloseFd();

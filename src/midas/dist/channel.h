@@ -40,7 +40,6 @@ class FrameChannel {
   FrameChannel(int fd, std::string label,
                Transport transport = Transport::kUnix);
   ~FrameChannel();
-  FrameChannel(FrameChannel&& other) noexcept;
   FrameChannel& operator=(FrameChannel&& other) noexcept;
   FrameChannel(const FrameChannel&) = delete;
   FrameChannel& operator=(const FrameChannel&) = delete;

@@ -116,7 +116,7 @@ Status RunWorkerLoop(int fd, const WorkerConfig& config) {
 
     const StatusOr<MessageKind> kind = PeekKind(payload);
     if (!kind.ok()) return kind.status();
-    if (*kind == MessageKind::kShutdown) return Status::OK();
+    if (*kind == MessageKind::kShutdown) return DecodeShutdown(payload);
     if (*kind != MessageKind::kWorkAssign) {
       return Status::Corruption("unexpected worker-bound message kind");
     }

@@ -58,11 +58,6 @@ std::vector<size_t> MatchSlices(
 
 }  // namespace
 
-double JaccardTriples(const std::vector<rdf::Triple>& a,
-                      const std::vector<rdf::Triple>& b) {
-  return JaccardSets(ToSet(a), ToSet(b));
-}
-
 PrfScores ScoreAgainstSilver(const std::vector<core::DiscoveredSlice>& returned,
                              const synth::SilverStandard& silver,
                              double jaccard_threshold) {
@@ -87,21 +82,6 @@ PrfScores ScoreAgainstSilver(const std::vector<core::DiscoveredSlice>& returned,
           : 2.0 * scores.precision * scores.recall /
                 (scores.precision + scores.recall);
   return scores;
-}
-
-double AveragePrecision(const std::vector<core::DiscoveredSlice>& returned,
-                        const synth::SilverStandard& silver,
-                        double jaccard_threshold) {
-  if (silver.slices.empty()) return 0.0;
-  std::vector<size_t> match = MatchSlices(returned, silver, jaccard_threshold);
-  double sum = 0.0;
-  size_t matched = 0;
-  for (size_t i = 0; i < match.size(); ++i) {
-    if (match[i] == SIZE_MAX) continue;
-    ++matched;
-    sum += static_cast<double>(matched) / static_cast<double>(i + 1);
-  }
-  return sum / static_cast<double>(silver.slices.size());
 }
 
 std::vector<PrPoint> PrecisionRecallCurve(

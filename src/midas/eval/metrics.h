@@ -11,13 +11,9 @@
 namespace midas {
 namespace eval {
 
-/// Jaccard similarity of two fact sets (inputs may contain duplicates;
-/// they are treated as sets).
-double JaccardTriples(const std::vector<rdf::Triple>& a,
-                      const std::vector<rdf::Triple>& b);
-
 /// The paper's slice-equivalence rule: two slices are the same result if
-/// the Jaccard similarity of their fact sets is above this threshold.
+/// the Jaccard similarity of their fact sets (duplicates ignored) is above
+/// this threshold.
 inline constexpr double kJaccardEquivalence = 0.95;
 
 /// Precision / recall / F-measure of a returned slice list against a
@@ -53,14 +49,6 @@ std::vector<PrPoint> PrecisionRecallCurve(
     const std::vector<core::DiscoveredSlice>& returned,
     const synth::SilverStandard& silver,
     double jaccard_threshold = kJaccardEquivalence);
-
-/// Average precision of the ranked output: the mean of the precision at
-/// each rank where a silver slice is matched, divided by |silver| — the
-/// scalar a PR curve integrates to. 1.0 iff every silver slice is matched
-/// before any false positive.
-double AveragePrecision(const std::vector<core::DiscoveredSlice>& returned,
-                        const synth::SilverStandard& silver,
-                        double jaccard_threshold = kJaccardEquivalence);
 
 }  // namespace eval
 }  // namespace midas

@@ -67,32 +67,6 @@ SliceSetSummary SummarizeSlices(
   return s;
 }
 
-JsonValue SliceSetSummary::ToJson() const {
-  JsonValue out = JsonValue::Object();
-  out.Set("num_slices", JsonValue::Int(static_cast<int64_t>(num_slices)));
-  out.Set("distinct_facts",
-          JsonValue::Int(static_cast<int64_t>(distinct_facts)));
-  out.Set("distinct_new_facts",
-          JsonValue::Int(static_cast<int64_t>(distinct_new_facts)));
-  out.Set("total_facts", JsonValue::Int(static_cast<int64_t>(total_facts)));
-  out.Set("total_new_facts",
-          JsonValue::Int(static_cast<int64_t>(total_new_facts)));
-  out.Set("total_profit", JsonValue::Number(total_profit));
-  out.Set("mean_facts", JsonValue::Number(mean_facts));
-  out.Set("min_facts", JsonValue::Int(static_cast<int64_t>(min_facts)));
-  out.Set("max_facts", JsonValue::Int(static_cast<int64_t>(max_facts)));
-  out.Set("profit_p25", JsonValue::Number(profit_p25));
-  out.Set("profit_p50", JsonValue::Number(profit_p50));
-  out.Set("profit_p75", JsonValue::Number(profit_p75));
-  JsonValue depths = JsonValue::Object();
-  for (const auto& [depth, count] : by_url_depth) {
-    depths.Set(std::to_string(depth),
-               JsonValue::Int(static_cast<int64_t>(count)));
-  }
-  out.Set("by_url_depth", std::move(depths));
-  return out;
-}
-
 std::string SliceSetSummary::ToString() const {
   std::string out;
   out += StringPrintf("slices: %zu (facts %zu distinct / %zu total, new %zu)\n",

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "midas/core/types.h"
-#include "midas/util/json.h"
 
 namespace midas {
 namespace eval {
@@ -31,8 +30,6 @@ struct SliceSetSummary {
   /// Slice counts by URL depth (0 = bare domain).
   std::map<size_t, size_t> by_url_depth;
 
-  /// Serializes for reports/CLI.
-  JsonValue ToJson() const;
   /// Multi-line human-readable rendering.
   std::string ToString() const;
 };

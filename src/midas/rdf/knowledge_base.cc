@@ -12,24 +12,8 @@ KnowledgeBase::KnowledgeBase(std::shared_ptr<Dictionary> dict)
 
 bool KnowledgeBase::Add(const Triple& t) { return store_.Insert(t); }
 
-bool KnowledgeBase::Add(std::string_view subject, std::string_view predicate,
-                        std::string_view object) {
-  return Add(Triple(dict_->Intern(subject), dict_->Intern(predicate),
-                    dict_->Intern(object)));
-}
-
 void KnowledgeBase::AddAll(const std::vector<Triple>& triples) {
   store_.InsertAll(triples);
-}
-
-bool KnowledgeBase::Contains(std::string_view subject,
-                             std::string_view predicate,
-                             std::string_view object) const {
-  auto s = dict_->Lookup(subject);
-  auto p = dict_->Lookup(predicate);
-  auto o = dict_->Lookup(object);
-  if (!s || !p || !o) return false;
-  return Contains(Triple(*s, *p, *o));
 }
 
 }  // namespace rdf

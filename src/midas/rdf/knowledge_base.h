@@ -2,8 +2,6 @@
 #define MIDAS_RDF_KNOWLEDGE_BASE_H_
 
 #include <memory>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "midas/rdf/dictionary.h"
@@ -29,19 +27,11 @@ class KnowledgeBase {
   /// Adds a fact; returns false if it was already present.
   bool Add(const Triple& t);
 
-  /// Interns the strings and adds the fact.
-  bool Add(std::string_view subject, std::string_view predicate,
-           std::string_view object);
-
   /// Bulk add.
   void AddAll(const std::vector<Triple>& triples);
 
   /// True iff the fact exists. The hot call of the profit function.
   bool Contains(const Triple& t) const { return store_.Contains(t); }
-
-  /// String-level membership; false if any term is not even interned.
-  bool Contains(std::string_view subject, std::string_view predicate,
-                std::string_view object) const;
 
   /// Number of facts.
   size_t size() const { return store_.size(); }

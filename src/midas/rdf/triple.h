@@ -2,7 +2,6 @@
 #define MIDAS_RDF_TRIPLE_H_
 
 #include <cstddef>
-#include <string>
 #include <tuple>
 
 #include "midas/rdf/dictionary.h"
@@ -32,9 +31,6 @@ struct Triple {
     return std::tie(subject, predicate, object) <
            std::tie(other.subject, other.predicate, other.object);
   }
-
-  /// Renders "(s, p, o)" using `dict` for term strings.
-  std::string ToString(const Dictionary& dict) const;
 };
 
 /// Hash functor for Triple, suitable for unordered containers.

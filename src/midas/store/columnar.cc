@@ -168,14 +168,6 @@ Status ColumnarWriter::FlushBuffers() {
   return Status::OK();
 }
 
-Status ColumnarWriter::Finish(const std::vector<std::string>& terms,
-                              const std::vector<std::string>& urls) {
-  return Finish(
-      terms.size(),
-      [&terms](size_t i) { return std::string_view(terms[i]); }, urls.size(),
-      [&urls](size_t i) { return std::string_view(urls[i]); });
-}
-
 Status ColumnarWriter::Finish(size_t num_terms, const DictFn& term,
                               size_t num_urls, const DictFn& url) {
   if (finished_) {
@@ -348,24 +340,6 @@ Status ColumnarWriter::Finish(size_t num_terms, const DictFn& term,
   RemoveSpills();
   content_fingerprint_ = footer.content_hash;
   return Status::OK();
-}
-
-void ColumnarReader::Swap(ColumnarReader* other) {
-  std::swap(base_, other->base_);
-  std::swap(map_size_, other->map_size_);
-  std::swap(num_records_, other->num_records_);
-  std::swap(num_terms_, other->num_terms_);
-  std::swap(num_urls_, other->num_urls_);
-  std::swap(content_fingerprint_, other->content_fingerprint_);
-  std::swap(term_offsets_, other->term_offsets_);
-  std::swap(terms_blob_, other->terms_blob_);
-  std::swap(url_offsets_, other->url_offsets_);
-  std::swap(urls_blob_, other->urls_blob_);
-  std::swap(confidences_, other->confidences_);
-  std::swap(url_codes_, other->url_codes_);
-  std::swap(subjects_, other->subjects_);
-  std::swap(predicates_, other->predicates_);
-  std::swap(objects_, other->objects_);
 }
 
 void ColumnarReader::Close() {

@@ -47,7 +47,7 @@ enum ColumnarSection : size_t {
 /// Streaming writer. Records are appended one at a time; bounded in-memory
 /// column buffers spill to per-column temp files, so RAM usage is O(buffer
 /// + dictionaries), never O(records) — the macro-scale corpus generator
-/// streams 100M-record shards through this. Finish() assembles the final
+/// streams 100M-record corpora through this. Finish() assembles the final
 /// file with the AtomicWriteFile discipline (temp + fsync + rename + fsync
 /// parent) and honors the `io_write_fail` and `io_torn_write` fault sites;
 /// a torn write leaves the truncated temp file behind as the simulated
@@ -75,10 +75,6 @@ class ColumnarWriter {
   /// term dictionary, `url(i)` likewise. Callable once.
   Status Finish(size_t num_terms, const DictFn& term, size_t num_urls,
                 const DictFn& url);
-
-  /// Convenience overload for materialized dictionaries.
-  Status Finish(const std::vector<std::string>& terms,
-                const std::vector<std::string>& urls);
 
   /// The content hash written into the footer; valid after a successful
   /// Finish. Checkpoint fingerprints bind to this.
@@ -121,14 +117,6 @@ class ColumnarReader {
   ColumnarReader() = default;
   ColumnarReader(const ColumnarReader&) = delete;
   ColumnarReader& operator=(const ColumnarReader&) = delete;
-  ColumnarReader(ColumnarReader&& other) noexcept { Swap(&other); }
-  ColumnarReader& operator=(ColumnarReader&& other) noexcept {
-    if (this != &other) {
-      Close();
-      Swap(&other);
-    }
-    return *this;
-  }
   ~ColumnarReader() { Close(); }
 
   /// Maps and validates `path`. On failure the reader stays closed.
@@ -163,8 +151,6 @@ class ColumnarReader {
   const uint32_t* objects() const { return objects_; }
 
  private:
-  void Swap(ColumnarReader* other);
-
   const char* base_ = nullptr;  // mmap base; null when closed
   size_t map_size_ = 0;
   uint64_t num_records_ = 0;

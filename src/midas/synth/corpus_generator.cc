@@ -311,8 +311,7 @@ GeneratedCorpus GenerateCorpus(const CorpusGenParams& params) {
 Status StreamCorpusToColumnar(const CorpusGenParams& params,
                               uint64_t target_records,
                               const std::string& path,
-                              StreamedCorpusStats* stats,
-                              uint64_t max_records_per_shard) {
+                              StreamedCorpusStats* stats) {
   Rng rng(params.seed);
   auto dict = std::make_shared<rdf::Dictionary>();
   std::vector<Vertical> verticals = BuildOntology(params, &rng, dict.get());
@@ -326,34 +325,10 @@ Status StreamCorpusToColumnar(const CorpusGenParams& params,
   if (stats == nullptr) stats = &local_stats;
   *stats = StreamedCorpusStats();
 
-  const bool sharded = max_records_per_shard > 0;
   const bool open_ie = params.mode == CorpusMode::kOpenIe;
-  std::unique_ptr<store::ColumnarWriter> writer;
+  store::ColumnarWriter writer(path);
   std::unordered_map<std::string, uint32_t> url_code;
   std::vector<const std::string*> urls;  // stable: points into url_code keys
-  uint64_t shard_records = 0;
-
-  const auto open_shard = [&] {
-    std::string shard_path =
-        sharded ? StringPrintf("%s.%05zu", path.c_str(),
-                               stats->shard_paths.size())
-                : path;
-    writer = std::make_unique<store::ColumnarWriter>(shard_path);
-    stats->shard_paths.push_back(std::move(shard_path));
-    url_code.clear();
-    urls.clear();
-    shard_records = 0;
-  };
-  const auto close_shard = [&]() -> Status {
-    Status status = writer->Finish(
-        dict->size(),
-        [&dict](size_t i) {
-          return std::string_view(dict->Term(static_cast<rdf::TermId>(i)));
-        },
-        urls.size(), [&urls](size_t i) { return std::string_view(*urls[i]); });
-    writer.reset();
-    return status;
-  };
 
   // Degrades one page through the extraction pipeline and writes the
   // surviving (post-threshold) records. The page is dropped right after —
@@ -370,22 +345,15 @@ Status StreamCorpusToColumnar(const CorpusGenParams& params,
         urls.push_back(&it->first);
         stats->num_sources++;
       }
-      writer->AddRecord(it->second, f.triple.subject, f.triple.predicate,
-                        f.triple.object, f.confidence);
+      writer.AddRecord(it->second, f.triple.subject, f.triple.predicate,
+                       f.triple.object, f.confidence);
       stats->records_written++;
-      shard_records++;
     }
   };
 
-  open_shard();
   size_t vertical_rr = 0;
   size_t noisy_quota = 0;
   for (size_t d = 0; stats->records_written < target_records; ++d) {
-    if (sharded && shard_records >= max_records_per_shard) {
-      MIDAS_RETURN_IF_ERROR(close_shard());
-      open_shard();
-    }
-    stats->num_domains++;
     std::string host = StringPrintf("http://www.domain%zu.example.com", d);
     size_t prev = noisy_quota;
     noisy_quota = static_cast<size_t>(
@@ -502,7 +470,12 @@ Status StreamCorpusToColumnar(const CorpusGenParams& params,
       }
     }
   }
-  return close_shard();
+  return writer.Finish(
+      dict->size(),
+      [&dict](size_t i) {
+        return std::string_view(dict->Term(static_cast<rdf::TermId>(i)));
+      },
+      urls.size(), [&urls](size_t i) { return std::string_view(*urls[i]); });
 }
 
 CorpusGenParams ReVerbLikeParams(double scale) {

@@ -96,19 +96,14 @@ GeneratedCorpus GenerateCorpus(const CorpusGenParams& params);
 
 /// Statistics of a StreamCorpusToColumnar run.
 struct StreamedCorpusStats {
-  /// Post-threshold extraction records written across all shards.
+  /// Post-threshold extraction records written.
   uint64_t records_written = 0;
   /// Distinct page URLs written (every page is one web source).
   uint64_t num_sources = 0;
-  /// Domains generated before the record target was reached.
-  uint64_t num_domains = 0;
-  /// The columnar files produced, in order. A single unsharded run writes
-  /// exactly `path`; sharded runs write `path.00000`, `path.00001`, ...
-  std::vector<std::string> shard_paths;
 };
 
-/// Paper-scale generation: streams the synthetic corpus straight into
-/// MIDASCOL1 columnar shards (store/columnar.h) without ever materializing
+/// Paper-scale generation: streams the synthetic corpus straight into a
+/// MIDASCOL1 columnar file (store/columnar.h) without ever materializing
 /// the fact set in memory — RAM stays O(dictionary + one page), so targets
 /// of 10^7-10^8 records are routine. Domains are generated with the same
 /// content model as GenerateCorpus until `target_records` post-threshold
@@ -117,17 +112,11 @@ struct StreamedCorpusStats {
 /// RNG interleaves with content generation — the stream is deterministic in
 /// params.seed yet not byte-identical to GenerateCorpus's corpus.
 /// `params.num_domains` is ignored (the record target drives termination).
-///
-/// With `max_records_per_shard` > 0 the output rolls over to a new shard at
-/// the first domain boundary past the limit (domains never straddle shards,
-/// so every shard is a self-contained corpus); 0 writes a single file at
-/// `path`. Each shard embeds the dictionary as of its close, so shards are
-/// individually loadable. Fills `stats` when non-null.
+/// Writes `path` and fills `stats` when non-null.
 Status StreamCorpusToColumnar(const CorpusGenParams& params,
                               uint64_t target_records,
                               const std::string& path,
-                              StreamedCorpusStats* stats = nullptr,
-                              uint64_t max_records_per_shard = 0);
+                              StreamedCorpusStats* stats = nullptr);
 
 /// Presets approximating the paper's datasets at laptop scale. `scale`
 /// multiplies domain counts (1.0 = the repository's default experiment

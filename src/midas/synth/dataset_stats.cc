@@ -1,13 +1,7 @@
 #include "midas/synth/dataset_stats.h"
 
-#include "midas/util/string_util.h"
-
 namespace midas {
 namespace synth {
-
-std::string DatasetStats::KbColumn() const {
-  return kb_facts == 0 ? "Empty" : FormatCount(kb_facts);
-}
 
 DatasetStats ComputeDatasetStats(const std::string& name,
                                  const web::Corpus& corpus,

@@ -16,9 +16,6 @@ struct DatasetStats {
   size_t num_predicates = 0;
   size_t num_urls = 0;
   size_t kb_facts = 0;  // 0 == "Empty"
-
-  /// Renders the KB column ("Empty" or the fact count).
-  std::string KbColumn() const;
 };
 
 /// Computes Fig. 7 statistics for a corpus + KB pair.

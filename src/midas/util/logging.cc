@@ -1,13 +1,11 @@
 #include "midas/util/logging.h"
 
-#include <atomic>
 #include <cstring>
 #include <mutex>
 
 namespace midas {
 
 namespace {
-std::atomic<int> g_log_level{static_cast<int>(LogLevel::kInfo)};
 std::mutex g_log_mutex;
 
 const char* LevelName(LogLevel level) {
@@ -30,20 +28,11 @@ const char* Basename(const char* path) {
 }
 }  // namespace
 
-void SetLogLevel(LogLevel level) {
-  g_log_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_log_level.load(std::memory_order_relaxed));
-}
-
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line, bool fatal)
     : level_(level), fatal_(fatal) {
-  enabled_ = fatal || static_cast<int>(level) >=
-                          g_log_level.load(std::memory_order_relaxed);
+  enabled_ = fatal || level >= kMinLogLevel;
   if (enabled_) {
     stream_ << "[" << LevelName(level_) << " " << Basename(file) << ":"
             << line << "] ";

@@ -11,10 +11,8 @@ namespace midas {
 /// Log severities, in increasing order.
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
-/// Global minimum severity; messages below it are discarded. Defaults to
-/// kInfo. Thread-safe to read; set once at startup.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
+/// Minimum severity; messages below it are discarded.
+inline constexpr LogLevel kMinLogLevel = LogLevel::kInfo;
 
 namespace internal {
 

@@ -43,11 +43,6 @@ uint64_t Rng::Uniform(uint64_t bound) {
   }
 }
 
-int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
-  uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-  return lo + static_cast<int64_t>(Uniform(span));
-}
-
 double Rng::UniformDouble() {
   // 53 random bits scaled to [0, 1).
   return static_cast<double>(Next() >> 11) * 0x1.0p-53;
@@ -74,11 +69,6 @@ double Rng::Normal(double mean, double stddev) {
   return mean + stddev * r * std::cos(theta);
 }
 
-uint64_t Rng::Zipf(uint64_t n, double s) {
-  ZipfTable table(n, s);
-  return table.Sample(this);
-}
-
 std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
   std::vector<size_t> out;
   if (k > n) k = n;
@@ -96,31 +86,6 @@ std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
 
 Rng Rng::Fork() {
   return Rng(HashCombine(Next(), Next()));
-}
-
-ZipfTable::ZipfTable(uint64_t n, double s) : n_(n) {
-  cdf_.resize(n);
-  double sum = 0.0;
-  for (uint64_t i = 0; i < n; ++i) {
-    sum += 1.0 / std::pow(static_cast<double>(i + 1), s);
-    cdf_[i] = sum;
-  }
-  for (double& v : cdf_) v /= sum;
-}
-
-uint64_t ZipfTable::Sample(Rng* rng) const {
-  double u = rng->UniformDouble();
-  // Binary search for the first cdf >= u.
-  size_t lo = 0, hi = cdf_.size();
-  while (lo < hi) {
-    size_t mid = lo + (hi - lo) / 2;
-    if (cdf_[mid] < u) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo < cdf_.size() ? lo : cdf_.size() - 1;
 }
 
 }  // namespace midas

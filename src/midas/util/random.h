@@ -31,9 +31,6 @@ class Rng {
   /// sampling, so the distribution is exactly uniform.
   uint64_t Uniform(uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  int64_t UniformInt(int64_t lo, int64_t hi);
-
   /// Uniform double in [0, 1).
   double UniformDouble();
 
@@ -42,11 +39,6 @@ class Rng {
 
   /// Standard normal via Box-Muller.
   double Normal(double mean = 0.0, double stddev = 1.0);
-
-  /// Zipf-distributed rank in [0, n) with exponent s. Ranks near 0 are the
-  /// most likely. Uses an inverted-CDF table internally; prefer ZipfTable
-  /// when drawing many values with the same (n, s).
-  uint64_t Zipf(uint64_t n, double s);
 
   /// Fisher-Yates shuffle.
   template <typename T>
@@ -70,22 +62,6 @@ class Rng {
   uint64_t state_[4];
   bool have_cached_normal_ = false;
   double cached_normal_ = 0.0;
-};
-
-/// Precomputed Zipf CDF for repeated draws with fixed (n, s).
-class ZipfTable {
- public:
-  /// Builds the CDF table; O(n).
-  ZipfTable(uint64_t n, double s);
-
-  /// Draws a rank in [0, n) using binary search over the CDF; O(log n).
-  uint64_t Sample(Rng* rng) const;
-
-  uint64_t n() const { return n_; }
-
- private:
-  uint64_t n_;
-  std::vector<double> cdf_;
 };
 
 }  // namespace midas

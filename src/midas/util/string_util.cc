@@ -31,27 +31,6 @@ std::vector<std::string_view> SplitSkipEmpty(std::string_view input,
   return out;
 }
 
-namespace {
-template <typename T>
-std::string JoinImpl(const std::vector<T>& parts, std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out.append(sep);
-    out.append(parts[i]);
-  }
-  return out;
-}
-}  // namespace
-
-std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
-  return JoinImpl(parts, sep);
-}
-
-std::string Join(const std::vector<std::string_view>& parts,
-                 std::string_view sep) {
-  return JoinImpl(parts, sep);
-}
-
 std::string_view Trim(std::string_view input) {
   size_t begin = 0;
   size_t end = input.size();
@@ -76,11 +55,6 @@ std::string ToLower(std::string_view input) {
 
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
 }
 
 bool ParseUint64(std::string_view s, uint64_t* out) {

@@ -17,20 +17,14 @@ std::vector<std::string_view> Split(std::string_view input, char delim);
 std::vector<std::string_view> SplitSkipEmpty(std::string_view input,
                                              char delim);
 
-/// Joins `parts` with `sep` between consecutive elements.
-std::string Join(const std::vector<std::string>& parts, std::string_view sep);
-std::string Join(const std::vector<std::string_view>& parts,
-                 std::string_view sep);
-
 /// Removes leading and trailing ASCII whitespace.
 std::string_view Trim(std::string_view input);
 
 /// ASCII lower-casing (locale independent).
 std::string ToLower(std::string_view input);
 
-/// True iff `s` starts with / ends with the given affix.
+/// True iff `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
-bool EndsWith(std::string_view s, std::string_view suffix);
 
 /// Parses a non-negative integer; returns false on any non-digit or
 /// overflow.

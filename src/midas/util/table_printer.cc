@@ -14,8 +14,6 @@ void TablePrinter::AddRow(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void TablePrinter::AddSeparator() { rows_.emplace_back(); }
-
 void TablePrinter::Print(std::ostream& os) const {
   std::vector<size_t> widths(headers_.size());
   for (size_t c = 0; c < headers_.size(); ++c) {
@@ -37,7 +35,7 @@ void TablePrinter::Print(std::ostream& os) const {
   auto print_cells = [&](const std::vector<std::string>& cells) {
     os << '|';
     for (size_t c = 0; c < widths.size(); ++c) {
-      const std::string& cell = c < cells.size() ? cells[c] : std::string();
+      const std::string& cell = cells[c];
       os << ' ' << cell << std::string(widths[c] - cell.size(), ' ') << " |";
     }
     os << '\n';
@@ -46,13 +44,7 @@ void TablePrinter::Print(std::ostream& os) const {
   print_rule();
   print_cells(headers_);
   print_rule();
-  for (const auto& row : rows_) {
-    if (row.empty()) {
-      print_rule();
-    } else {
-      print_cells(row);
-    }
-  }
+  for (const auto& row : rows_) print_cells(row);
   print_rule();
 }
 

@@ -21,9 +21,6 @@ class TablePrinter {
   /// Appends one row; missing cells render empty, extra cells are dropped.
   void AddRow(std::vector<std::string> cells);
 
-  /// Convenience: adds a full-width section separator row.
-  void AddSeparator();
-
   /// Renders with column alignment, a header rule, and `|` delimiters.
   void Print(std::ostream& os) const;
 
@@ -34,7 +31,7 @@ class TablePrinter {
 
  private:
   std::vector<std::string> headers_;
-  std::vector<std::vector<std::string>> rows_;  // empty vector == separator
+  std::vector<std::vector<std::string>> rows_;  // each headers_.size() wide
 };
 
 }  // namespace midas

@@ -57,10 +57,6 @@ void ThreadPool::Wait() {
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  ParallelFor(n, fn, nullptr);
-}
-
 size_t ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn,
                                const std::function<bool()>& cancelled) {
   if (n == 0) return 0;

@@ -52,15 +52,12 @@ class ThreadPool {
   void Wait();
 
   /// Runs `fn(i)` for i in [0, n) across the pool and waits for completion.
-  /// Work is chunked to limit queue overhead.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
-
-  /// Cancellable variant: once `cancelled()` first returns true, chunks not
-  /// yet claimed are skipped (indices already running finish normally — the
-  /// cancellation is cooperative, matching fault::CancelToken semantics).
-  /// The predicate is polled once per chunk claim, never per index. Returns
-  /// the number of indices that actually ran; == n when never cancelled.
-  /// A null predicate behaves exactly like the plain overload.
+  /// Work is chunked to limit queue overhead. Once `cancelled()` first
+  /// returns true, chunks not yet claimed are skipped (indices already
+  /// running finish normally — the cancellation is cooperative, matching
+  /// fault::CancelToken semantics). The predicate is polled once per chunk
+  /// claim, never per index; a null predicate never cancels. Returns the
+  /// number of indices that actually ran; == n when never cancelled.
   size_t ParallelFor(size_t n, const std::function<void(size_t)>& fn,
                      const std::function<bool()>& cancelled);
 

@@ -93,30 +93,6 @@ constexpr size_t kReadBufferBytes = 64 * 1024;
 
 }  // namespace
 
-std::string TsvEscape(std::string_view field) {
-  std::string out;
-  out.reserve(field.size());
-  AppendEscaped(field, &out);
-  return out;
-}
-
-std::string TsvUnescape(std::string_view field) {
-  std::string out;
-  out.reserve(field.size());
-  AppendUnescaped(field, &out);
-  return out;
-}
-
-std::string TsvFormatRow(const std::vector<std::string>& fields) {
-  std::string out;
-  for (size_t i = 0; i < fields.size(); ++i) {
-    if (i > 0) out.push_back('\t');
-    AppendEscaped(fields[i], &out);
-  }
-  out.push_back('\n');
-  return out;
-}
-
 void TsvAppendRow(std::initializer_list<std::string_view> fields,
                   std::string* out) {
   bool first = true;
@@ -126,12 +102,6 @@ void TsvAppendRow(std::initializer_list<std::string_view> fields,
     AppendEscaped(field, out);
   }
   out->push_back('\n');
-}
-
-std::vector<std::string> TsvParseRow(std::string_view line) {
-  std::vector<std::string> fields;
-  ParseRowInto(line, &fields);
-  return fields;
 }
 
 Status TsvReadFile(

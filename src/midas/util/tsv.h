@@ -13,32 +13,22 @@ namespace midas {
 
 /// Minimal TSV reader/writer used for extraction dumps and experiment
 /// artifacts. Fields may not contain tabs or newlines; we escape them with
-/// backslash sequences (\t, \n, \\) so round-trips are lossless.
+/// backslash sequences (\t, \n, \r, \\) so round-trips are lossless.
 
-/// Escapes tabs, newlines, carriage returns, and backslashes.
-std::string TsvEscape(std::string_view field);
-
-/// Reverses TsvEscape. Unknown escape sequences are preserved literally.
-std::string TsvUnescape(std::string_view field);
-
-/// Serializes one row (fields joined by tabs, terminated by '\n').
-std::string TsvFormatRow(const std::vector<std::string>& fields);
-
-/// Appends one row, formatted as TsvFormatRow does, to `out`. Writers build
-/// a whole file this way in the one string TsvWriteFile stages.
+/// Appends one row to `out`: the escaped fields joined by tabs, terminated
+/// by '\n'. Writers build a whole file this way in the one string
+/// TsvWriteFile stages.
 void TsvAppendRow(std::initializer_list<std::string_view> fields,
                   std::string* out);
 
-/// Parses one line (without trailing newline) into unescaped fields.
-std::vector<std::string> TsvParseRow(std::string_view line);
-
 /// Streams a TSV file row by row. `callback` receives the 0-based row index
-/// and the unescaped fields; returning a non-OK status aborts the scan and
-/// is propagated. Blank lines and lines starting with '#' are skipped, and
-/// a trailing '\r' is dropped. The file is scanned through a fixed read
-/// buffer (grown only for a line longer than it), never held whole, and
-/// one field vector is reused across rows: `fields` is valid only during
-/// its callback, and a row of repeated widths allocates nothing.
+/// and the unescaped fields (unknown escape sequences are kept literally);
+/// returning a non-OK status aborts the scan and is propagated. Blank lines
+/// and lines starting with '#' are skipped, and a trailing '\r' is dropped.
+/// The file is scanned through a fixed read buffer (grown only for a line
+/// longer than it), never held whole, and one field vector is reused across
+/// rows: `fields` is valid only during its callback, and a row of repeated
+/// widths allocates nothing.
 Status TsvReadFile(
     const std::string& path,
     const std::function<Status(size_t row, const std::vector<std::string>&)>&

@@ -60,31 +60,10 @@ std::string Url::ToString() const {
   return out;
 }
 
-Url Url::Parent() const {
-  Url out = *this;
-  if (!out.segments_.empty()) out.segments_.pop_back();
-  return out;
-}
-
 Url Url::Domain() const {
   Url out = *this;
   out.segments_.clear();
   return out;
-}
-
-Url Url::Prefix(size_t levels) const {
-  Url out = *this;
-  if (levels < out.segments_.size()) out.segments_.resize(levels);
-  return out;
-}
-
-bool Url::IsPrefixOf(const Url& other) const {
-  if (scheme_ != other.scheme_ || host_ != other.host_) return false;
-  if (segments_.size() > other.segments_.size()) return false;
-  for (size_t i = 0; i < segments_.size(); ++i) {
-    if (segments_[i] != other.segments_[i]) return false;
-  }
-  return true;
 }
 
 std::string NormalizeUrl(std::string_view raw) {

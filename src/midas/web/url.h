@@ -40,19 +40,8 @@ class Url {
   /// Canonical string form: scheme://host[/seg]*.
   std::string ToString() const;
 
-  /// The URL one level up: drops the last path segment. Calling on a bare
-  /// domain returns the domain itself.
-  Url Parent() const;
-
   /// Bare domain URL (no path).
   Url Domain() const;
-
-  /// The prefix URL with the first `levels` path segments (clamped).
-  Url Prefix(size_t levels) const;
-
-  /// True iff `other` is this URL or a descendant of it (same scheme/host,
-  /// path-segment prefix).
-  bool IsPrefixOf(const Url& other) const;
 
   bool operator==(const Url& other) const {
     return scheme_ == other.scheme_ && host_ == other.host_ &&

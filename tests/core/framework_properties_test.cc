@@ -71,7 +71,9 @@ TEST_P(FrameworkPropertiesTest, ProvenanceEveryFactUnderReportedUrl) {
     for (const auto& t : slice.facts) {
       auto it = where.find(t);
       ASSERT_NE(it, where.end())
-          << "reported fact never extracted: " << t.ToString(*data_->dict);
+          << "reported fact never extracted: (" << data_->dict->Term(t.subject)
+          << ", " << data_->dict->Term(t.predicate) << ", "
+          << data_->dict->Term(t.object) << ")";
       bool under = false;
       for (const std::string* url : it->second) {
         if (StartsWith(*url, slice.source_url)) {

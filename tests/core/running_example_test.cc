@@ -51,7 +51,10 @@ class RunningExampleTest : public ::testing::Test {
   void AddFact(const std::string& url, const std::string& s,
                const std::string& p, const std::string& o, bool is_new) {
     corpus_->AddFactRaw(url, s, p, o);
-    if (!is_new) kb_->Add(s, p, o);
+    if (!is_new) {
+      kb_->Add(rdf::Triple(dict_->Intern(s), dict_->Intern(p),
+                           dict_->Intern(o)));
+    }
   }
 
   // Collects all 13 facts into one source-level vector (the web-domain

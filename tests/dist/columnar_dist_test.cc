@@ -4,7 +4,8 @@
 // seeded worker_crash must all stay bit-identical to the in-process
 // framework. The source ids the framework hands an executor must name
 // exactly the task's facts, and a worker must refuse an assignment its
-// corpus cannot serve with Corruption, never execute it.
+// corpus cannot serve with Corruption, never execute it, as it refuses a
+// Shutdown frame with trailing bytes.
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -348,6 +349,29 @@ TEST_F(ColumnarDistTest, AblationAssignmentNamingTwoSourcesIsCorruption) {
   ExpectWorkerRefuses(assign);
   assign.source_ids.clear();
   ExpectWorkerRefuses(assign);
+}
+
+// A Shutdown frame is the kind byte alone: it ends the worker with OK, and
+// one trailing byte makes it Corruption like any other malformed frame.
+TEST_F(ColumnarDistTest, ShutdownFrameMustBeTheKindByteAlone) {
+  for (const bool trailing : {false, true}) {
+    Bundle b;
+    ASSERT_TRUE(LoadBundle(col_path_, &b).ok());
+    std::thread worker;
+    Status worker_status = Status::OK();
+    FrameChannel channel;
+    StartWorker(&b, &worker, &worker_status, &channel);
+    std::string frame = EncodeShutdown();
+    if (trailing) frame.push_back('x');
+    ASSERT_TRUE(channel.WriteFrame(frame).ok());
+    std::string payload, error;
+    EXPECT_EQ(channel.WaitForFrame(5000, &payload, &error),
+              FrameChannel::Read::kEof);
+    worker.join();
+    EXPECT_EQ(worker_status.code(),
+              trailing ? StatusCode::kCorruption : StatusCode::kOk)
+        << worker_status.ToString();
+  }
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <utility>
+#include <vector>
+
 namespace midas {
 namespace eval {
 namespace {
@@ -24,18 +28,32 @@ synth::GroundTruthSlice Gt(std::vector<rdf::Triple> facts) {
   return gt;
 }
 
+// The Jaccard similarity ScoreAgainstSilver sees between one returned and
+// one silver slice is exactly `jaccard`: the pair matches at the next
+// threshold below it and not at `jaccard` itself (a match needs more).
+void ExpectJaccard(std::vector<rdf::Triple> returned_facts,
+                   std::vector<rdf::Triple> silver_facts, double jaccard) {
+  synth::SilverStandard silver;
+  silver.slices = {Gt(std::move(silver_facts))};
+  const std::vector<core::DiscoveredSlice> returned = {
+      Slice(std::move(returned_facts), 1.0)};
+  EXPECT_EQ(
+      ScoreAgainstSilver(returned, silver, std::nextafter(jaccard, -1.0))
+          .matched,
+      1u);
+  EXPECT_EQ(ScoreAgainstSilver(returned, silver, jaccard).matched, 0u);
+}
+
 TEST(JaccardTest, BasicCases) {
-  EXPECT_DOUBLE_EQ(JaccardTriples({}, {}), 1.0);
-  EXPECT_DOUBLE_EQ(JaccardTriples({T(1, 1, 1)}, {}), 0.0);
-  EXPECT_DOUBLE_EQ(JaccardTriples({T(1, 1, 1)}, {T(1, 1, 1)}), 1.0);
-  EXPECT_DOUBLE_EQ(
-      JaccardTriples({T(1, 1, 1), T(2, 2, 2)}, {T(1, 1, 1), T(3, 3, 3)}),
-      1.0 / 3.0);
+  ExpectJaccard({}, {}, 1.0);
+  ExpectJaccard({T(1, 1, 1)}, {}, 0.0);
+  ExpectJaccard({T(1, 1, 1)}, {T(1, 1, 1)}, 1.0);
+  ExpectJaccard({T(1, 1, 1), T(2, 2, 2)}, {T(1, 1, 1), T(3, 3, 3)},
+                1.0 / 3.0);
 }
 
 TEST(JaccardTest, DuplicatesTreatedAsSets) {
-  EXPECT_DOUBLE_EQ(
-      JaccardTriples({T(1, 1, 1), T(1, 1, 1)}, {T(1, 1, 1)}), 1.0);
+  ExpectJaccard({T(1, 1, 1), T(1, 1, 1)}, {T(1, 1, 1)}, 1.0);
 }
 
 TEST(ScoreTest, PerfectMatch) {
@@ -101,41 +119,6 @@ TEST(ScoreTest, BestMatchWins) {
   auto scores = ScoreAgainstSilver(returned, silver, 0.5);
   EXPECT_EQ(scores.matched, 1u);
   EXPECT_DOUBLE_EQ(scores.recall, 0.5);
-}
-
-TEST(AveragePrecisionTest, PerfectRankingIsOne) {
-  synth::SilverStandard silver;
-  silver.slices = {Gt({T(1, 0, 0)}), Gt({T(2, 0, 0)})};
-  std::vector<core::DiscoveredSlice> returned = {
-      Slice({T(1, 0, 0)}, 3.0), Slice({T(2, 0, 0)}, 2.0)};
-  EXPECT_DOUBLE_EQ(AveragePrecision(returned, silver), 1.0);
-}
-
-TEST(AveragePrecisionTest, FalsePositivesEarlyHurtMore) {
-  synth::SilverStandard silver;
-  silver.slices = {Gt({T(1, 0, 0)})};
-  // Hit at rank 1: AP = 1. Hit at rank 2 after a miss: AP = 0.5.
-  std::vector<core::DiscoveredSlice> hit_first = {
-      Slice({T(1, 0, 0)}, 3.0), Slice({T(9, 0, 0)}, 2.0)};
-  std::vector<core::DiscoveredSlice> miss_first = {
-      Slice({T(9, 0, 0)}, 3.0), Slice({T(1, 0, 0)}, 2.0)};
-  EXPECT_DOUBLE_EQ(AveragePrecision(hit_first, silver), 1.0);
-  EXPECT_DOUBLE_EQ(AveragePrecision(miss_first, silver), 0.5);
-}
-
-TEST(AveragePrecisionTest, MissingSilverCountsAgainst) {
-  synth::SilverStandard silver;
-  silver.slices = {Gt({T(1, 0, 0)}), Gt({T(2, 0, 0)})};
-  std::vector<core::DiscoveredSlice> returned = {Slice({T(1, 0, 0)}, 3.0)};
-  EXPECT_DOUBLE_EQ(AveragePrecision(returned, silver), 0.5);
-}
-
-TEST(AveragePrecisionTest, Edges) {
-  synth::SilverStandard empty;
-  EXPECT_DOUBLE_EQ(AveragePrecision({}, empty), 0.0);
-  synth::SilverStandard silver;
-  silver.slices = {Gt({T(1, 0, 0)})};
-  EXPECT_DOUBLE_EQ(AveragePrecision({}, silver), 0.0);
 }
 
 TEST(PrCurveTest, MonotoneRecallAndPrefixPrecision) {

@@ -69,14 +69,6 @@ TEST(SummaryTest, PartiallyNewSlicesLowerBoundDistinctNew) {
   EXPECT_EQ(s.distinct_new_facts, 0u);  // lower bound (documented)
 }
 
-TEST(SummaryTest, JsonRendering) {
-  auto s = SummarizeSlices({Slice("http://a.com", 0, 3, 2.5, true)});
-  std::string json = s.ToJson().Dump();
-  EXPECT_NE(json.find("\"num_slices\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"total_profit\":2.5"), std::string::npos);
-  EXPECT_NE(json.find("\"by_url_depth\":{\"0\":1}"), std::string::npos);
-}
-
 TEST(SummaryTest, HumanRendering) {
   auto s = SummarizeSlices({Slice("http://a.com/x", 0, 3, 2.5, true)});
   std::string text = s.ToString();

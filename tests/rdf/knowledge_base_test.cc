@@ -12,6 +12,9 @@ class KnowledgeBaseTest : public ::testing::Test {
  protected:
   KnowledgeBaseTest()
       : dict_(std::make_shared<Dictionary>()), kb_(dict_) {}
+  Triple T(const char* s, const char* p, const char* o) {
+    return Triple(dict_->Intern(s), dict_->Intern(p), dict_->Intern(o));
+  }
   std::shared_ptr<Dictionary> dict_;
   KnowledgeBase kb_;
 };
@@ -22,24 +25,16 @@ TEST_F(KnowledgeBaseTest, StartsEmpty) {
 }
 
 TEST_F(KnowledgeBaseTest, AddByStringsAndContains) {
-  EXPECT_TRUE(kb_.Add("Margarita", "ingredient", "tequila"));
+  EXPECT_TRUE(kb_.Add(T("Margarita", "ingredient", "tequila")));
   EXPECT_EQ(kb_.size(), 1u);
-  EXPECT_TRUE(kb_.Contains("Margarita", "ingredient", "tequila"));
-  EXPECT_FALSE(kb_.Contains("Margarita", "ingredient", "rum"));
+  EXPECT_TRUE(kb_.Contains(T("Margarita", "ingredient", "tequila")));
+  EXPECT_FALSE(kb_.Contains(T("Margarita", "ingredient", "rum")));
 }
 
 TEST_F(KnowledgeBaseTest, DuplicateAddReturnsFalse) {
-  EXPECT_TRUE(kb_.Add("s", "p", "o"));
-  EXPECT_FALSE(kb_.Add("s", "p", "o"));
+  EXPECT_TRUE(kb_.Add(T("s", "p", "o")));
+  EXPECT_FALSE(kb_.Add(T("s", "p", "o")));
   EXPECT_EQ(kb_.size(), 1u);
-}
-
-TEST_F(KnowledgeBaseTest, ContainsWithUninternedTermIsFalse) {
-  kb_.Add("s", "p", "o");
-  // "zzz" was never interned; string-level Contains must not intern it.
-  size_t dict_size = dict_->size();
-  EXPECT_FALSE(kb_.Contains("zzz", "p", "o"));
-  EXPECT_EQ(dict_->size(), dict_size);
 }
 
 TEST_F(KnowledgeBaseTest, SharedDictionaryWithCorpusIds) {
@@ -48,7 +43,7 @@ TEST_F(KnowledgeBaseTest, SharedDictionaryWithCorpusIds) {
   TermId o = dict_->Intern("obj");
   kb_.Add(Triple(s, p, o));
   EXPECT_TRUE(kb_.Contains(Triple(s, p, o)));
-  EXPECT_TRUE(kb_.Contains("subject", "pred", "obj"));
+  EXPECT_TRUE(kb_.Contains(T("subject", "pred", "obj")));
 }
 
 TEST_F(KnowledgeBaseTest, AddAllBulk) {

@@ -133,12 +133,6 @@ TEST(TripleStoreScaleTest, LargeStorePatternQueries) {
   EXPECT_EQ(found, expected);
 }
 
-TEST(TripleTest, ToStringFormats) {
-  Dictionary dict;
-  Triple t(dict.Intern("s"), dict.Intern("p"), dict.Intern("o"));
-  EXPECT_EQ(t.ToString(dict), "(s, p, o)");
-}
-
 TEST(TripleTest, OrderingAndEquality) {
   Triple a(1, 2, 3), b(1, 2, 4), c(1, 2, 3);
   EXPECT_EQ(a, c);

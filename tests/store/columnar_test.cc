@@ -40,6 +40,15 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   ASSERT_TRUE(static_cast<bool>(out)) << path;
 }
 
+// Finishes `writer` with materialized dictionaries.
+Status Finish(ColumnarWriter* writer, const std::vector<std::string>& terms,
+              const std::vector<std::string>& urls) {
+  return writer->Finish(
+      terms.size(),
+      [&terms](size_t i) { return std::string_view(terms[i]); }, urls.size(),
+      [&urls](size_t i) { return std::string_view(urls[i]); });
+}
+
 bool Exists(const std::string& path) {
   std::ifstream in(path);
   return static_cast<bool>(in);
@@ -106,7 +115,7 @@ class ColumnarTest : public ::testing::Test {
     for (const RawRecord& r : records) {
       writer.AddRecord(r.url, r.subject, r.predicate, r.object, r.confidence);
     }
-    Status status = writer.Finish(terms, urls);
+    Status status = Finish(&writer, terms, urls);
     EXPECT_TRUE(status.ok()) << status.ToString();
     return writer.content_fingerprint();
   }
@@ -168,7 +177,7 @@ TEST_F(ColumnarTest, FingerprintChangesWithContent) {
 TEST_F(ColumnarTest, RejectsOutOfRangeCodesAtFinish) {
   ColumnarWriter writer(path_);
   writer.AddRecord(0, 5, 0, 0, 0.5);  // subject 5 vs 3 terms
-  Status status = writer.Finish(MakeTerms(3), MakeUrls(1));
+  Status status = Finish(&writer, MakeTerms(3), MakeUrls(1));
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_FALSE(Exists(path_));
 }
@@ -176,8 +185,8 @@ TEST_F(ColumnarTest, RejectsOutOfRangeCodesAtFinish) {
 TEST_F(ColumnarTest, FinishTwiceFails) {
   ColumnarWriter writer(path_);
   writer.AddRecord(0, 0, 0, 0, 0.5);
-  ASSERT_TRUE(writer.Finish(MakeTerms(1), MakeUrls(1)).ok());
-  EXPECT_EQ(writer.Finish(MakeTerms(1), MakeUrls(1)).code(),
+  ASSERT_TRUE(Finish(&writer, MakeTerms(1), MakeUrls(1)).ok());
+  EXPECT_EQ(Finish(&writer, MakeTerms(1), MakeUrls(1)).code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -283,7 +292,7 @@ TEST_F(ColumnarTest, ReservedHeaderBytesRejected) {
 TEST_F(ColumnarTest, OutOfRangeCodeUnderMatchingChecksumsRejected) {
   ColumnarWriter writer(path_);
   for (uint32_t url : {0u, 0u, 1u, 1u}) writer.AddRecord(url, 0, 1, 2, 0.5);
-  ASSERT_TRUE(writer.Finish(MakeTerms(3), MakeUrls(2)).ok());
+  ASSERT_TRUE(Finish(&writer, MakeTerms(3), MakeUrls(2)).ok());
   std::string bytes = ReadFileBytes(path_);
 
   // The 216-byte footer holds three u64 counts, then one {u64 offset, u64
@@ -317,7 +326,7 @@ TEST_F(ColumnarTest, InjectedWriteFailFailsCleanly) {
   fault::ScopedFaultSpec armed("site=io_write_fail,rate=1,seed=1");
   ColumnarWriter writer(path_);
   writer.AddRecord(0, 0, 0, 0, 0.5);
-  Status status = writer.Finish(MakeTerms(1), MakeUrls(1));
+  Status status = Finish(&writer, MakeTerms(1), MakeUrls(1));
   EXPECT_EQ(status.code(), StatusCode::kIoError);
   EXPECT_FALSE(Exists(path_));
 }
@@ -329,7 +338,7 @@ TEST_F(ColumnarTest, InjectedTornWriteLeavesDestinationAbsentAndTempTorn) {
   for (const RawRecord& r : records) {
     writer.AddRecord(r.url, r.subject, r.predicate, r.object, r.confidence);
   }
-  Status status = writer.Finish(MakeTerms(7), MakeUrls(3));
+  Status status = Finish(&writer, MakeTerms(7), MakeUrls(3));
   EXPECT_EQ(status.code(), StatusCode::kIoError);
   // The rename never happened; the torn temp is the simulated crash state
   // and must be rejected by the reader like any truncated file.
@@ -346,7 +355,7 @@ TEST_F(ColumnarTest, TornWriteSurvivorIsReplacedOnRetry) {
     fault::ScopedFaultSpec armed("site=io_torn_write,rate=1,seed=9");
     ColumnarWriter writer(path_);
     writer.AddRecord(0, 0, 0, 0, 0.25);
-    EXPECT_FALSE(writer.Finish(MakeTerms(1), MakeUrls(1)).ok());
+    EXPECT_FALSE(Finish(&writer, MakeTerms(1), MakeUrls(1)).ok());
   }
   WriteFile(MakeRecords(16, 3, 2, 7), MakeTerms(3), MakeUrls(2));
   ColumnarReader reader;

@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <unordered_set>
 
+#include "common/test_dir.h"
+#include "midas/extract/columnar_io.h"
+#include "midas/store/columnar.h"
 #include "midas/util/string_util.h"
 #include "midas/web/url.h"
+#include "midas/web/web_source.h"
 
 namespace midas {
 namespace synth {
@@ -122,6 +129,69 @@ TEST(CorpusGeneratorTest, ExtractionLosesFacts) {
   // extracted.
   EXPECT_LT(data.num_filtered, data.num_true_facts);
   EXPECT_LE(data.num_filtered, data.num_extracted);
+}
+
+// A small ClosedIE shape of the streamed corpora the benchmarks write.
+CorpusGenParams StreamParams(uint64_t seed) {
+  CorpusGenParams p;
+  p.mode = CorpusMode::kClosedIe;
+  p.num_verticals = 12;
+  p.sections_per_domain = 2;
+  p.pages_per_section = 8;
+  p.entities_per_page = 6;
+  p.noisy_domain_fraction = 0.3;
+  p.extractor.recall = 0.7;
+  p.confidence_threshold = 0.7;
+  p.seed = seed;
+  return p;
+}
+
+constexpr uint64_t kStreamTarget = 5000;
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(StreamCorpusToColumnarTest, SeedDeterminesTheBytes) {
+  const std::string dir = tests::TestDir();
+  ASSERT_TRUE(
+      StreamCorpusToColumnar(StreamParams(1), kStreamTarget, dir + "/a").ok());
+  ASSERT_TRUE(
+      StreamCorpusToColumnar(StreamParams(1), kStreamTarget, dir + "/b").ok());
+  ASSERT_TRUE(
+      StreamCorpusToColumnar(StreamParams(2), kStreamTarget, dir + "/c").ok());
+  const std::string a = FileBytes(dir + "/a");
+  ASSERT_FALSE(a.empty());
+  EXPECT_EQ(a, FileBytes(dir + "/b"));
+  EXPECT_NE(a, FileBytes(dir + "/c"));
+}
+
+TEST(StreamCorpusToColumnarTest, StatsDescribeALoadableFile) {
+  const std::string path = tests::TestDir() + "/corpus.midascol";
+  StreamedCorpusStats stats;
+  ASSERT_TRUE(
+      StreamCorpusToColumnar(StreamParams(3), kStreamTarget, path, &stats)
+          .ok());
+  EXPECT_GE(stats.records_written, kStreamTarget);
+
+  store::ColumnarReader reader;
+  ASSERT_TRUE(reader.Open(path).ok());
+  EXPECT_EQ(stats.records_written, reader.num_records());
+  EXPECT_EQ(stats.num_sources, reader.num_urls());
+
+  // Every written record is above the threshold, so the load keeps one
+  // source per page URL.
+  web::Corpus corpus;
+  uint64_t fingerprint = 0;
+  ASSERT_TRUE(extract::LoadColumnarCorpus(path, 0.7, /*dict=*/nullptr,
+                                          &corpus, &fingerprint)
+                  .ok());
+  EXPECT_EQ(corpus.NumSources(), stats.num_sources);
+  EXPECT_GT(corpus.NumFacts(), 0u);
+  EXPECT_LE(corpus.NumFacts(), stats.records_written);
+  EXPECT_EQ(fingerprint, reader.content_fingerprint());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <thread>
 
 #include "midas/util/logging.h"
@@ -10,23 +11,21 @@ namespace midas {
 namespace {
 
 TEST(LoggingTest, LevelFiltering) {
-  LogLevel original = GetLogLevel();
-  SetLogLevel(LogLevel::kError);
-  EXPECT_EQ(GetLogLevel(), LogLevel::kError);
-  // Below-threshold messages must be cheap no-ops (no crash, no output
-  // assertion possible on stderr here — just exercise the path).
-  MIDAS_LOG(Debug) << "invisible";
-  MIDAS_LOG(Info) << "invisible";
-  MIDAS_LOG(Warning) << "invisible";
-  SetLogLevel(original);
+  // Messages below kMinLogLevel are discarded; the rest reach stderr.
+  ::testing::internal::CaptureStderr();
+  MIDAS_LOG(Debug) << "hidden";
+  MIDAS_LOG(Info) << "shown";
+  const std::string out = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(out.find("hidden"), std::string::npos) << out;
+  EXPECT_NE(out.find("shown"), std::string::npos) << out;
 }
 
 TEST(LoggingTest, StreamingArbitraryTypes) {
-  LogLevel original = GetLogLevel();
-  SetLogLevel(LogLevel::kError);
+  ::testing::internal::CaptureStderr();
   MIDAS_LOG(Info) << "int " << 42 << " double " << 1.5 << " ptr "
                   << static_cast<const void*>(nullptr);
-  SetLogLevel(original);
+  const std::string out = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(out.find("int 42 double 1.5"), std::string::npos) << out;
 }
 
 TEST(CheckMacroTest, PassingChecksAreSilent) {

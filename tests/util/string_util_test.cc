@@ -31,12 +31,6 @@ TEST(SplitTest, SkipEmpty) {
   EXPECT_TRUE(SplitSkipEmpty("///", '/').empty());
 }
 
-TEST(JoinTest, JoinsWithSeparator) {
-  EXPECT_EQ(Join(std::vector<std::string>{"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(Join(std::vector<std::string>{}, ","), "");
-  EXPECT_EQ(Join(std::vector<std::string>{"only"}, ","), "only");
-}
-
 TEST(TrimTest, RemovesWhitespace) {
   EXPECT_EQ(Trim("  x  "), "x");
   EXPECT_EQ(Trim("\t\na b\r\n"), "a b");
@@ -53,10 +47,7 @@ TEST(CaseTest, ToLower) {
 TEST(AffixTest, StartsEndsWith) {
   EXPECT_TRUE(StartsWith("http://x", "http://"));
   EXPECT_FALSE(StartsWith("http", "http://"));
-  EXPECT_TRUE(EndsWith("page.htm", ".htm"));
-  EXPECT_FALSE(EndsWith("htm", ".htm"));
   EXPECT_TRUE(StartsWith("x", ""));
-  EXPECT_TRUE(EndsWith("x", ""));
 }
 
 TEST(ParseTest, Uint64) {

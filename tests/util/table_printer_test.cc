@@ -30,22 +30,6 @@ TEST(TablePrinterTest, ExtraCellsDropped) {
   EXPECT_EQ(out.find("overflow"), std::string::npos);
 }
 
-TEST(TablePrinterTest, SeparatorRendersRule) {
-  TablePrinter t({"x"});
-  t.AddRow({"1"});
-  t.AddSeparator();
-  t.AddRow({"2"});
-  std::string out = t.ToString();
-  // top + header-rule + separator + bottom = 4 rules
-  size_t rules = 0, pos = 0;
-  while ((pos = out.find("+--", pos)) != std::string::npos) {
-    ++rules;
-    pos += 3;
-  }
-  EXPECT_EQ(rules, 4u);
-  EXPECT_EQ(t.num_rows(), 3u);
-}
-
 TEST(TablePrinterTest, WideCellExpandsColumn) {
   TablePrinter t({"h"});
   t.AddRow({"very-long-content"});

@@ -1,5 +1,5 @@
-// Pins the cancellable ParallelFor contract: a null predicate behaves like
-// the plain overload, a never-true predicate runs everything, a pre-set
+// Pins the cancellable ParallelFor contract: a null predicate and a
+// never-true predicate run everything, a pre-set
 // predicate runs nothing, and a predicate that flips mid-run stops further
 // chunk claims while letting already-claimed indices finish (the return
 // value counts exactly the indices that ran).

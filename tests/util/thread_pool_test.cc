@@ -41,7 +41,7 @@ TEST(ThreadPoolTest, WaitOnEmptyPoolReturnsImmediately) {
 TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(1000, [&](size_t i) { hits[i].fetch_add(1); });
+  pool.ParallelFor(1000, [&](size_t i) { hits[i].fetch_add(1); }, nullptr);
   for (size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
@@ -49,14 +49,14 @@ TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
 
 TEST(ThreadPoolTest, ParallelForZeroItems) {
   ThreadPool pool(2);
-  pool.ParallelFor(0, [](size_t) { FAIL(); });
+  pool.ParallelFor(0, [](size_t) { FAIL(); }, nullptr);
   SUCCEED();
 }
 
 TEST(ThreadPoolTest, ParallelForFewerItemsThanThreads) {
   ThreadPool pool(8);
   std::atomic<int> counter{0};
-  pool.ParallelFor(3, [&](size_t) { counter.fetch_add(1); });
+  pool.ParallelFor(3, [&](size_t) { counter.fetch_add(1); }, nullptr);
   EXPECT_EQ(counter.load(), 3);
 }
 
@@ -64,14 +64,17 @@ TEST(ThreadPoolTest, ActuallyParallel) {
   ThreadPool pool(4);
   std::atomic<int> concurrent{0};
   std::atomic<int> peak{0};
-  pool.ParallelFor(8, [&](size_t) {
-    int now = concurrent.fetch_add(1) + 1;
-    int expected = peak.load();
-    while (now > expected && !peak.compare_exchange_weak(expected, now)) {
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    concurrent.fetch_sub(1);
-  });
+  pool.ParallelFor(
+      8,
+      [&](size_t) {
+        int now = concurrent.fetch_add(1) + 1;
+        int expected = peak.load();
+        while (now > expected && !peak.compare_exchange_weak(expected, now)) {
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        concurrent.fetch_sub(1);
+      },
+      nullptr);
   EXPECT_GE(peak.load(), 2);
 }
 

@@ -11,52 +11,83 @@
 namespace midas {
 namespace {
 
-TEST(TsvEscapeTest, RoundTrip) {
+// The rows TsvReadFile yields for `path`.
+std::vector<std::vector<std::string>> ReadRows(const std::string& path) {
+  std::vector<std::vector<std::string>> rows;
+  const Status s =
+      TsvReadFile(path, [&](size_t, const std::vector<std::string>& f) {
+        rows.push_back(f);
+        return Status::OK();
+      });
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return rows;
+}
+
+// The escape codec, through the shipped writer and reader: TsvAppendRow
+// writes a file, TsvReadFile decodes it.
+class TsvEscapeTest : public ::testing::Test {
+ protected:
+  void SetUp() override { path_ = tests::TestDir() + "/escape.tsv"; }
+  std::string path_;
+};
+
+TEST_F(TsvEscapeTest, RoundTrip) {
   const std::string nasty = "a\tb\nc\rd\\e plain";
-  std::string escaped = TsvEscape(nasty);
-  EXPECT_EQ(escaped.find('\t'), std::string::npos);
-  EXPECT_EQ(escaped.find('\n'), std::string::npos);
-  EXPECT_EQ(TsvUnescape(escaped), nasty);
+  std::string row;
+  TsvAppendRow({nasty}, &row);
+  // The only raw tab or newline is the row terminator.
+  EXPECT_EQ(row.find('\t'), std::string::npos);
+  EXPECT_EQ(row.find('\n'), row.size() - 1);
+  ASSERT_TRUE(TsvWriteFile(path_, row).ok());
+  const std::vector<std::vector<std::string>> expected = {{nasty}};
+  EXPECT_EQ(ReadRows(path_), expected);
 }
 
-TEST(TsvEscapeTest, PlainStringsUntouched) {
-  EXPECT_EQ(TsvEscape("hello world"), "hello world");
-  EXPECT_EQ(TsvUnescape("hello world"), "hello world");
+TEST_F(TsvEscapeTest, PlainStringsUntouched) {
+  std::string row;
+  TsvAppendRow({"hello world"}, &row);
+  EXPECT_EQ(row, "hello world\n");
+  ASSERT_TRUE(TsvWriteFile(path_, row).ok());
+  const std::vector<std::vector<std::string>> expected = {{"hello world"}};
+  EXPECT_EQ(ReadRows(path_), expected);
 }
 
-TEST(TsvEscapeTest, UnknownEscapePreserved) {
-  EXPECT_EQ(TsvUnescape("a\\qb"), "a\\qb");
-  // Trailing lone backslash preserved.
-  EXPECT_EQ(TsvUnescape("a\\"), "a\\");
+TEST_F(TsvEscapeTest, UnknownEscapePreserved) {
+  // A trailing lone backslash is preserved too.
+  ASSERT_TRUE(TsvWriteFile(path_, "a\\qb\ta\\\n").ok());
+  const std::vector<std::vector<std::string>> expected = {{"a\\qb", "a\\"}};
+  EXPECT_EQ(ReadRows(path_), expected);
 }
 
-TEST(TsvRowTest, FormatAndParse) {
-  std::vector<std::string> fields = {"url", "a\tb", "c"};
-  std::string row = TsvFormatRow(fields);
+class TsvRowTest : public TsvEscapeTest {};
+
+TEST_F(TsvRowTest, FormatAndParse) {
+  const std::vector<std::string> fields = {"url", "a\tb", "c"};
+  std::string row;
+  TsvAppendRow({fields[0], fields[1], fields[2]}, &row);
   EXPECT_EQ(row.back(), '\n');
-  auto parsed = TsvParseRow(std::string_view(row).substr(0, row.size() - 1));
-  EXPECT_EQ(parsed, fields);
+  ASSERT_TRUE(TsvWriteFile(path_, row).ok());
+  const std::vector<std::vector<std::string>> expected = {fields};
+  EXPECT_EQ(ReadRows(path_), expected);
 }
 
-// File writers append rows into one buffer; a row must come out exactly as
-// TsvFormatRow renders it, escapes included.
-TEST(TsvRowTest, AppendRowMatchesFormatRow) {
+// File writers append rows into one buffer; each row must come out with
+// its escapes, and read back as the fields it was given.
+TEST_F(TsvRowTest, AppendRowMatchesFormatRow) {
   std::string contents = "prefix\n";
   TsvAppendRow({"url", "a\tb", "back\\slash", "", "line\nbreak\r"},
                &contents);
   TsvAppendRow({"single"}, &contents);
   EXPECT_EQ(contents,
-            "prefix\n" +
-                TsvFormatRow({"url", "a\tb", "back\\slash", "",
-                              "line\nbreak\r"}) +
-                TsvFormatRow({"single"}));
-}
-
-// The rows of a file, as TsvWriteFile takes them.
-std::string Contents(const std::vector<std::vector<std::string>>& rows) {
-  std::string contents;
-  for (const auto& row : rows) contents += TsvFormatRow(row);
-  return contents;
+            "prefix\n"
+            "url\ta\\tb\tback\\\\slash\t\tline\\nbreak\\r\n"
+            "single\n");
+  ASSERT_TRUE(TsvWriteFile(path_, contents).ok());
+  const std::vector<std::vector<std::string>> expected = {
+      {"prefix"},
+      {"url", "a\tb", "back\\slash", "", "line\nbreak\r"},
+      {"single"}};
+  EXPECT_EQ(ReadRows(path_), expected);
 }
 
 class TsvFileTest : public ::testing::Test {
@@ -71,7 +102,10 @@ class TsvFileTest : public ::testing::Test {
 TEST_F(TsvFileTest, WriteThenRead) {
   std::vector<std::vector<std::string>> rows = {
       {"a", "b", "c"}, {"d", "e\tf", "g"}};
-  ASSERT_TRUE(TsvWriteFile(path_, Contents(rows)).ok());
+  std::string contents;
+  TsvAppendRow({"a", "b", "c"}, &contents);
+  TsvAppendRow({"d", "e\tf", "g"}, &contents);
+  ASSERT_TRUE(TsvWriteFile(path_, contents).ok());
 
   std::vector<std::vector<std::string>> read;
   Status s = TsvReadFile(path_, [&](size_t, const std::vector<std::string>& f) {
@@ -99,7 +133,7 @@ TEST_F(TsvFileTest, SkipsCommentsAndBlankLines) {
 }
 
 TEST_F(TsvFileTest, CallbackErrorPropagates) {
-  ASSERT_TRUE(TsvWriteFile(path_, Contents({{"x"}, {"y"}})).ok());
+  ASSERT_TRUE(TsvWriteFile(path_, "x\ny\n").ok());
   Status s = TsvReadFile(path_, [](size_t, const std::vector<std::string>&) {
     return Status::Corruption("stop");
   });
@@ -136,7 +170,12 @@ TEST_F(TsvFileTest, RowsOfChangingWidthYieldOnlyTheirOwnFields) {
       {"d", "e"},
       {"f", "g", "h", "i"},
       {"j", "k"}};
-  ASSERT_TRUE(TsvWriteFile(path_, Contents(rows)).ok());
+  std::string contents;
+  TsvAppendRow({rows[0][0], rows[0][1], rows[0][2]}, &contents);
+  TsvAppendRow({rows[1][0], rows[1][1]}, &contents);
+  TsvAppendRow({rows[2][0], rows[2][1], rows[2][2], rows[2][3]}, &contents);
+  TsvAppendRow({rows[3][0], rows[3][1]}, &contents);
+  ASSERT_TRUE(TsvWriteFile(path_, contents).ok());
   std::vector<std::vector<std::string>> read;
   ASSERT_TRUE(TsvReadFile(path_, [&](size_t, const std::vector<std::string>& f) {
                 read.push_back(f);
@@ -198,7 +237,11 @@ TEST_F(TsvFileTest, LineLongerThanTheReadBuffer) {
   const std::string huge(300000, 'z');
   const std::vector<std::vector<std::string>> rows = {
       {"before", "x"}, {"a", huge, "b"}, {"after", "y"}};
-  ASSERT_TRUE(TsvWriteFile(path_, Contents(rows)).ok());
+  std::string contents;
+  TsvAppendRow({"before", "x"}, &contents);
+  TsvAppendRow({"a", huge, "b"}, &contents);
+  TsvAppendRow({"after", "y"}, &contents);
+  ASSERT_TRUE(TsvWriteFile(path_, contents).ok());
   std::vector<std::vector<std::string>> read;
   ASSERT_TRUE(TsvReadFile(path_, [&](size_t, const std::vector<std::string>& f) {
                 read.push_back(f);
@@ -210,11 +253,13 @@ TEST_F(TsvFileTest, LineLongerThanTheReadBuffer) {
 TEST_F(TsvFileTest, ManyRowsAcrossBufferBoundaries) {
   // ~1 MB of rows of varying length, so lines straddle many refills.
   std::vector<std::vector<std::string>> rows;
+  std::string contents;
   for (int i = 0; i < 20000; ++i) {
     rows.push_back({std::to_string(i), std::string(static_cast<size_t>(i % 97), static_cast<char>('a' + i % 26)),
                     i % 5 == 0 ? "esc\t" + std::to_string(i) : "z"});
+    TsvAppendRow({rows.back()[0], rows.back()[1], rows.back()[2]}, &contents);
   }
-  ASSERT_TRUE(TsvWriteFile(path_, Contents(rows)).ok());
+  ASSERT_TRUE(TsvWriteFile(path_, contents).ok());
   std::vector<std::vector<std::string>> read;
   ASSERT_TRUE(TsvReadFile(path_, [&](size_t row,
                                      const std::vector<std::string>& f) {

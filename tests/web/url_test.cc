@@ -62,29 +62,8 @@ TEST(UrlParseTest, Errors) {
 
 TEST(UrlHierarchyOpsTest, ParentChain) {
   auto url = *Url::Parse("http://a.com/x/y/z");
-  EXPECT_EQ(url.Parent().ToString(), "http://a.com/x/y");
-  EXPECT_EQ(url.Parent().Parent().ToString(), "http://a.com/x");
   EXPECT_EQ(url.Domain().ToString(), "http://a.com");
-  EXPECT_EQ(url.Domain().Parent().ToString(), "http://a.com");  // fixpoint
   EXPECT_EQ(url.Domain().depth(), 0u);
-}
-
-TEST(UrlHierarchyOpsTest, Prefix) {
-  auto url = *Url::Parse("http://a.com/x/y/z");
-  EXPECT_EQ(url.Prefix(0).ToString(), "http://a.com");
-  EXPECT_EQ(url.Prefix(2).ToString(), "http://a.com/x/y");
-  EXPECT_EQ(url.Prefix(99).ToString(), "http://a.com/x/y/z");
-}
-
-TEST(UrlHierarchyOpsTest, IsPrefixOf) {
-  auto base = *Url::Parse("http://a.com/x");
-  EXPECT_TRUE(base.IsPrefixOf(*Url::Parse("http://a.com/x/y")));
-  EXPECT_TRUE(base.IsPrefixOf(base));
-  EXPECT_FALSE(base.IsPrefixOf(*Url::Parse("http://a.com/z")));
-  EXPECT_FALSE(base.IsPrefixOf(*Url::Parse("http://b.com/x/y")));
-  EXPECT_FALSE(base.IsPrefixOf(*Url::Parse("https://a.com/x/y")));
-  // "x" is not a prefix of "xy" at the segment level.
-  EXPECT_FALSE(base.IsPrefixOf(*Url::Parse("http://a.com/xy")));
 }
 
 TEST(UrlStringHelpersTest, NormalizeUrl) {

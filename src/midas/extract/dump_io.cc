@@ -79,14 +79,18 @@ Status LoadDump(const std::string& path, const LoadOptions& options,
 
 Status SaveDump(const std::string& path, const ExtractionDump& dump) {
   std::string contents;
-  const rdf::Dictionary& dict = *dump.dict;
   for (const auto& f : dump.facts) {
-    TsvAppendRow({f.url, dict.Term(f.triple.subject),
-                  dict.Term(f.triple.predicate), dict.Term(f.triple.object),
-                  FormatDouble(f.confidence, 4)},
-                 &contents);
+    AppendDumpRow(f.url, f.triple, f.confidence, *dump.dict, &contents);
   }
   return TsvWriteFile(path, contents);
+}
+
+void AppendDumpRow(std::string_view url, const rdf::Triple& triple,
+                   double confidence, const rdf::Dictionary& dict,
+                   std::string* out) {
+  TsvAppendRow({url, dict.Term(triple.subject), dict.Term(triple.predicate),
+                dict.Term(triple.object), FormatDouble(confidence, 4)},
+               out);
 }
 
 }  // namespace extract

@@ -2,6 +2,7 @@
 #define MIDAS_EXTRACT_DUMP_IO_H_
 
 #include <string>
+#include <string_view>
 
 #include "midas/extract/extraction.h"
 #include "midas/util/status.h"
@@ -43,6 +44,11 @@ Status LoadDump(const std::string& path, const LoadOptions& options,
 
 /// Saves a dump.
 Status SaveDump(const std::string& path, const ExtractionDump& dump);
+
+/// Appends one dump row, as SaveDump writes it, to `out`.
+void AppendDumpRow(std::string_view url, const rdf::Triple& triple,
+                   double confidence, const rdf::Dictionary& dict,
+                   std::string* out);
 
 }  // namespace extract
 }  // namespace midas

@@ -68,12 +68,13 @@ void ExtractionSimulator::ExtractPage(const PageContent& page, Rng* rng,
 }
 
 ExtractionDump ExtractionSimulator::ExtractAll(
-    const std::vector<PageContent>& pages,
-    std::shared_ptr<rdf::Dictionary> dict, Rng* rng) const {
+    std::vector<PageContent> pages, std::shared_ptr<rdf::Dictionary> dict,
+    Rng* rng) const {
   ExtractionDump dump;
   dump.dict = std::move(dict);
-  for (const auto& page : pages) {
+  for (PageContent& page : pages) {
     ExtractPage(page, rng, &dump.facts);
+    page = PageContent();
   }
   return dump;
 }

@@ -58,8 +58,9 @@ class ExtractionSimulator {
   void ExtractPage(const PageContent& page, Rng* rng,
                    std::vector<ExtractedFact>* out) const;
 
-  /// Runs the pipeline over a whole site.
-  ExtractionDump ExtractAll(const std::vector<PageContent>& pages,
+  /// Runs the pipeline over a whole site, releasing each page once it has
+  /// been extracted (move the pages in to bound peak memory).
+  ExtractionDump ExtractAll(std::vector<PageContent> pages,
                             std::shared_ptr<rdf::Dictionary> dict,
                             Rng* rng) const;
 

@@ -7,9 +7,7 @@
 
 #include "midas/extract/extraction.h"
 #include "midas/store/columnar.h"
-#include "midas/util/logging.h"
 #include "midas/util/string_util.h"
-#include "midas/web/url.h"
 
 namespace midas {
 namespace synth {
@@ -45,9 +43,7 @@ constexpr size_t kJunkCategories = 300;
 // and infoboxes, so extractors recover them far more reliably.
 constexpr double kDefiningSalience = 3.0;
 
-/// Builds the vertical schemas. Shared by GenerateCorpus and the streaming
-/// generator; draws from `rng` in a fixed order, so GenerateCorpus's
-/// streams are unchanged by the factoring.
+/// Builds the vertical schemas, drawing from `rng` in a fixed order.
 std::vector<Vertical> BuildOntology(const CorpusGenParams& params, Rng* rng,
                                     rdf::Dictionary* dict) {
   rdf::TermId category_pred = dict->Intern("category");
@@ -78,40 +74,45 @@ std::vector<Vertical> BuildOntology(const CorpusGenParams& params, Rng* rng,
   return verticals;
 }
 
-}  // namespace
+/// One coherent section: a URL prefix of a domain, devoted to one
+/// vertical and one value of its group predicate.
+struct Section {
+  std::string url;
+  const Vertical* vertical;
+  /// The vertical's index. Homogeneity (R_anno) is a property of the
+  /// entity *type*: two same-vertical sections merged into one slice
+  /// still present uniformly structured pages, so a human would label
+  /// them easy to annotate. The ground-truth group is therefore the
+  /// vertical.
+  uint32_t group;
+  rdf::TermId group_value;
+};
 
-GeneratedCorpus GenerateCorpus(const CorpusGenParams& params) {
-  Rng rng(params.seed);
-  GeneratedCorpus out;
-  out.dict = std::make_shared<rdf::Dictionary>();
-  rdf::Dictionary& dict = *out.dict;
-  out.kb = std::make_unique<rdf::KnowledgeBase>(out.dict);
-
-  const bool open_ie = params.mode == CorpusMode::kOpenIe;
-
-  // --- Ontology ------------------------------------------------------
-  std::vector<Vertical> verticals = BuildOntology(params, &rng, &dict);
-
-  // --- True web content ------------------------------------------------
-  std::vector<PageContent> pages;
-  struct SectionInfo {
-    std::string url;
-    std::vector<std::pair<rdf::TermId, rdf::TermId>> rule;
-    std::vector<rdf::TermId> entities;
-    bool is_gap = false;
-    std::string description;
-  };
-  std::vector<SectionInfo> sections;
-
+/// The synthetic web's content model, the one both generators run: domain
+/// after domain of noisy posts or coherent sections over the verticals,
+/// every draw from `rng` in a fixed order.
+struct ContentModel {
+  const CorpusGenParams& params;
+  Rng& rng;
+  rdf::Dictionary& dict;
+  std::vector<Vertical> verticals;
   size_t vertical_rr = 0;  // round-robin so a domain's sections differ
-  size_t noisy_quota = 0;  // exact fractional assignment of noisy domains
 
-  for (size_t d = 0; d < params.num_domains; ++d) {
+  /// Draws the content of domain `d` (domains come in order 0, 1, ...).
+  /// `on_section(const Section&)` runs after a coherent section's group
+  /// draw and before its page-count draw. `on_page(PageContent&&, const
+  /// std::vector<rdf::TermId>& subjects, const Section*)` runs once a
+  /// page's facts are complete, with the page's entities in order and its
+  /// section (nullptr for a noisy post). Draws a hook makes from `rng` fall
+  /// between the model's own.
+  template <typename OnSection, typename OnPage>
+  void Domain(size_t d, OnSection&& on_section, OnPage&& on_page) {
+    const bool open_ie = params.mode == CorpusMode::kOpenIe;
     std::string host = StringPrintf("http://www.domain%zu.example.com", d);
-    size_t prev = noisy_quota;
-    noisy_quota = static_cast<size_t>(
-        std::floor(static_cast<double>(d + 1) * params.noisy_domain_fraction));
-    bool noisy = noisy_quota > prev;
+    // Exact fractional assignment of noisy domains.
+    const double f = params.noisy_domain_fraction;
+    bool noisy = std::floor(static_cast<double>(d + 1) * f) >
+                 std::floor(static_cast<double>(d) * f);
 
     size_t size_multiplier = 1;
     if (params.skewed_large_domain && d == 0) {
@@ -119,6 +120,7 @@ GeneratedCorpus GenerateCorpus(const CorpusGenParams& params) {
       noisy = false;  // the big NELL-like source is coherent content
     }
 
+    std::vector<rdf::TermId> subjects;
     if (noisy) {
       // Forum/news style: loosely related entities, no coherent rule.
       size_t num_pages = UniformIn(&rng, params.pages_per_section,
@@ -127,14 +129,14 @@ GeneratedCorpus GenerateCorpus(const CorpusGenParams& params) {
       for (size_t j = 0; j < num_pages; ++j) {
         PageContent page;
         page.url = host + StringPrintf("/post%zu.htm", j);
+        subjects.clear();
         size_t num_entities =
             UniformIn(&rng, 1, 2 * params.entities_per_page);
         for (size_t k = 0; k < num_entities; ++k) {
           rdf::TermId subject = dict.Intern(
               StringPrintf("noise_d%zu_p%zu_e%zu", d, j, k));
-          out.entity_group[subject] = GeneratedCorpus::kNoiseGroup;
-          const Vertical& vert =
-              verticals[rng.Uniform(verticals.size())];
+          subjects.push_back(subject);
+          const Vertical& vert = verticals[rng.Uniform(verticals.size())];
           // Mostly long-tail junk categories; occasionally a real vertical
           // with a random group — either way no profitable group forms.
           if (rng.Bernoulli(0.85)) {
@@ -163,72 +165,61 @@ GeneratedCorpus GenerateCorpus(const CorpusGenParams& params) {
             // Forum chatter mostly mentions one-off values; only half the
             // time does it hit the vertical's shared vocabulary, so no
             // (attribute, value) pair accumulates a profitable group.
+            const std::vector<rdf::TermId>& pool = vert.attr_values[a];
             rdf::TermId value =
                 rng.Bernoulli(0.5)
-                    ? vert.attr_values[a][rng.Uniform(vert.attr_values[a].size())]
+                    ? pool[rng.Uniform(pool.size())]
                     : dict.Intern(StringPrintf(
-                          "mention_%llu",
-                          static_cast<unsigned long long>(rng.Next() % 100000)));
+                          "mention_%llu", static_cast<unsigned long long>(
+                                              rng.Next() % 100000)));
             page.facts.emplace_back(subject, dict.Intern(pred_name), value);
           }
         }
         page.salience.assign(page.facts.size(), 1.0);
-        // Noisy content is partially known to the KB.
-        for (const rdf::Triple& t : page.facts) {
-          if (rng.Bernoulli(params.noisy_kb_fraction)) out.kb->Add(t);
-        }
-        out.num_true_facts += page.facts.size();
-        pages.push_back(std::move(page));
+        on_page(std::move(page), subjects, nullptr);
       }
-      continue;
+      return;
     }
 
     // Coherent domain: sections devoted to one vertical + fixed group.
     size_t num_sections =
         UniformIn(&rng, 1, 2 * params.sections_per_domain) * size_multiplier;
     for (size_t s = 0; s < num_sections; ++s) {
-      SectionInfo section;
-      section.url = host + StringPrintf("/cat%zu", s);
       // Round-robin vertical assignment so a domain's sections cover
       // distinct verticals (a shared vertical would merge two sections
       // under one category slice).
-      size_t vertical_index = vertical_rr++ % verticals.size();
-      const Vertical& vert = verticals[vertical_index];
-      rdf::TermId group_value =
-          vert.group_values[rng.Uniform(vert.group_values.size())];
-      section.rule = {{vert.category_pred, vert.name_value},
-                      {vert.group_pred, group_value}};
-      section.is_gap = rng.Bernoulli(params.gap_section_fraction);
-      section.description =
-          StringPrintf("%s / %s", dict.Term(vert.name_value).c_str(),
-                       dict.Term(group_value).c_str());
-      // Homogeneity (R_anno) is a property of the entity *type*: two
-      // same-vertical sections merged into one slice still present
-      // uniformly structured pages, so a human would label them easy to
-      // annotate. The ground-truth group is therefore the vertical.
-      uint32_t group_id = static_cast<uint32_t>(vertical_index);
+      const auto group =
+          static_cast<uint32_t>(vertical_rr++ % verticals.size());
+      const Vertical& vert = verticals[group];
+      const Section section{
+          host + StringPrintf("/cat%zu", s), &vert, group,
+          vert.group_values[rng.Uniform(vert.group_values.size())]};
+      on_section(section);
 
       // OpenIE paraphrase variant is chosen per page.
-      size_t num_pages = UniformIn(&rng, std::max<size_t>(2, params.pages_per_section / 2),
-                                   params.pages_per_section * 3 / 2 + 1);
+      size_t num_pages =
+          UniformIn(&rng, std::max<size_t>(2, params.pages_per_section / 2),
+                    params.pages_per_section * 3 / 2 + 1);
       for (size_t j = 0; j < num_pages; ++j) {
         PageContent page;
         page.url = section.url + StringPrintf("/item%zu.htm", j);
+        subjects.clear();
         size_t variant =
-            open_ie ? rng.Uniform(std::max<size_t>(1, params.openie_paraphrases))
-                    : 0;
+            open_ie
+                ? rng.Uniform(std::max<size_t>(1, params.openie_paraphrases))
+                : 0;
         size_t num_entities = UniformIn(
             &rng, std::max<size_t>(1, params.entities_per_page / 2),
             params.entities_per_page * 3 / 2 + 1);
         for (size_t k = 0; k < num_entities; ++k) {
           rdf::TermId subject = dict.Intern(
               StringPrintf("ent_d%zu_s%zu_p%zu_e%zu", d, s, j, k));
-          out.entity_group[subject] = group_id;
-          section.entities.push_back(subject);
+          subjects.push_back(subject);
           page.facts.emplace_back(subject, vert.category_pred,
                                   vert.name_value);
           page.salience.push_back(kDefiningSalience);
-          page.facts.emplace_back(subject, vert.group_pred, group_value);
+          page.facts.emplace_back(subject, vert.group_pred,
+                                  section.group_value);
           page.salience.push_back(kDefiningSalience);
           for (size_t a = 0; a < vert.attr_pred_names.size(); ++a) {
             if (!rng.Bernoulli(0.85)) continue;
@@ -249,49 +240,88 @@ GeneratedCorpus GenerateCorpus(const CorpusGenParams& params) {
             page.salience.push_back(1.0);
           }
         }
-        // KB coverage: gap sections leak a little; known sections a lot.
-        double kb_prob = section.is_gap ? params.gap_kb_fraction
-                                        : params.kb_known_fraction;
-        for (const rdf::Triple& t : page.facts) {
-          if (rng.Bernoulli(kb_prob)) out.kb->Add(t);
-        }
-        out.num_true_facts += page.facts.size();
-        pages.push_back(std::move(page));
+        on_page(std::move(page), subjects, &section);
       }
-      sections.push_back(std::move(section));
     }
+  }
+};
+
+}  // namespace
+
+GeneratedCorpus GenerateCorpus(const CorpusGenParams& params) {
+  Rng rng(params.seed);
+  GeneratedCorpus out;
+  out.dict = std::make_shared<rdf::Dictionary>();
+  rdf::Dictionary& dict = *out.dict;
+  out.kb = std::make_unique<rdf::KnowledgeBase>(out.dict);
+
+  // --- True web content ------------------------------------------------
+  ContentModel model{params, rng, dict, BuildOntology(params, &rng, &dict)};
+  std::vector<PageContent> pages;
+  // Gap sections, the silver-standard candidates, with their entities.
+  std::vector<GroundTruthSlice> gaps;
+  bool in_gap = false;
+  const auto on_section = [&](const Section& section) {
+    in_gap = rng.Bernoulli(params.gap_section_fraction);
+    if (!in_gap) return;
+    const Vertical& vert = *section.vertical;
+    GroundTruthSlice gt;
+    gt.source_url = section.url;
+    gt.rule = {{vert.category_pred, vert.name_value},
+               {vert.group_pred, section.group_value}};
+    gt.description =
+        StringPrintf("%s / %s", dict.Term(vert.name_value).c_str(),
+                     dict.Term(section.group_value).c_str());
+    gaps.push_back(std::move(gt));
+  };
+  const auto on_page = [&](PageContent&& page,
+                           const std::vector<rdf::TermId>& subjects,
+                           const Section* section) {
+    uint32_t group = GeneratedCorpus::kNoiseGroup;
+    // KB coverage: noisy content is partially known, gap sections leak a
+    // little, known sections a lot.
+    double kb_prob = params.noisy_kb_fraction;
+    if (section != nullptr) {
+      group = section->group;
+      kb_prob = in_gap ? params.gap_kb_fraction : params.kb_known_fraction;
+      if (in_gap) {
+        std::vector<rdf::TermId>& members = gaps.back().entities;
+        members.insert(members.end(), subjects.begin(), subjects.end());
+      }
+    }
+    for (rdf::TermId subject : subjects) out.entity_group[subject] = group;
+    for (const rdf::Triple& t : page.facts) {
+      if (rng.Bernoulli(kb_prob)) out.kb->Add(t);
+    }
+    out.num_true_facts += page.facts.size();
+    pages.push_back(std::move(page));
+  };
+  for (size_t d = 0; d < params.num_domains; ++d) {
+    model.Domain(d, on_section, on_page);
   }
 
   // --- Automated extraction -------------------------------------------
-  extract::ExtractionSimulator simulator(params.extractor, out.dict.get());
-  Rng extract_rng = rng.Fork();
-  extract::ExtractionDump dump =
-      simulator.ExtractAll(pages, out.dict, &extract_rng);
-  out.num_extracted = dump.facts.size();
-
-  out.corpus = std::make_unique<web::Corpus>(out.dict);
-  for (const auto& f : dump.facts) {
-    if (f.confidence > params.confidence_threshold) {
-      out.corpus->AddFact(f.url, f.triple);
-    }
+  {
+    extract::ExtractionSimulator simulator(params.extractor, out.dict.get());
+    Rng extract_rng = rng.Fork();
+    extract::ExtractionDump dump =
+        simulator.ExtractAll(std::move(pages), out.dict, &extract_rng);
+    out.num_extracted = dump.facts.size();
+    out.corpus = std::make_unique<web::Corpus>(
+        extract::BuildCorpus(dump, params.confidence_threshold));
+    out.num_filtered = out.corpus->NumFacts();
   }
-  out.num_filtered = out.corpus->NumFacts();
 
   // --- Silver standard --------------------------------------------------
   // A gap section is a silver slice iff enough of its facts survived
   // extraction and are new w.r.t. the KB.
-  for (const SectionInfo& section : sections) {
-    if (!section.is_gap) continue;
-    std::unordered_set<rdf::TermId> members(section.entities.begin(),
-                                            section.entities.end());
-    GroundTruthSlice gt;
-    gt.source_url = section.url;
-    gt.rule = section.rule;
-    gt.description = section.description;
+  for (GroundTruthSlice& gt : gaps) {
+    std::unordered_set<rdf::TermId> members(gt.entities.begin(),
+                                            gt.entities.end());
     size_t new_facts = 0;
     std::unordered_set<rdf::TermId> present;
     for (const auto& source : out.corpus->sources()) {
-      if (!StartsWith(source.url, section.url)) continue;
+      if (!StartsWith(source.url, gt.source_url)) continue;
       for (const rdf::Triple& t : source.facts) {
         if (members.count(t.subject) == 0) continue;
         gt.facts.push_back(t);
@@ -314,7 +344,8 @@ Status StreamCorpusToColumnar(const CorpusGenParams& params,
                               StreamedCorpusStats* stats) {
   Rng rng(params.seed);
   auto dict = std::make_shared<rdf::Dictionary>();
-  std::vector<Vertical> verticals = BuildOntology(params, &rng, dict.get());
+  ContentModel model{params, rng, *dict,
+                     BuildOntology(params, &rng, dict.get())};
   extract::ExtractionSimulator simulator(params.extractor, dict.get());
   // Unlike GenerateCorpus (which extracts after all content exists), the
   // extraction RNG here interleaves with content generation page by page;
@@ -325,7 +356,6 @@ Status StreamCorpusToColumnar(const CorpusGenParams& params,
   if (stats == nullptr) stats = &local_stats;
   *stats = StreamedCorpusStats();
 
-  const bool open_ie = params.mode == CorpusMode::kOpenIe;
   store::ColumnarWriter writer(path);
   std::unordered_map<std::string, uint32_t> url_code;
   std::vector<const std::string*> urls;  // stable: points into url_code keys
@@ -334,7 +364,9 @@ Status StreamCorpusToColumnar(const CorpusGenParams& params,
   // surviving (post-threshold) records. The page is dropped right after —
   // memory stays O(dictionary + one page).
   std::vector<extract::ExtractedFact> extracted;
-  const auto emit_page = [&](const PageContent& page) {
+  const auto emit_page = [&](PageContent&& page,
+                             const std::vector<rdf::TermId>&,
+                             const Section*) {
     extracted.clear();
     simulator.ExtractPage(page, &extract_rng, &extracted);
     for (const extract::ExtractedFact& f : extracted) {
@@ -350,125 +382,8 @@ Status StreamCorpusToColumnar(const CorpusGenParams& params,
       stats->records_written++;
     }
   };
-
-  size_t vertical_rr = 0;
-  size_t noisy_quota = 0;
   for (size_t d = 0; stats->records_written < target_records; ++d) {
-    std::string host = StringPrintf("http://www.domain%zu.example.com", d);
-    size_t prev = noisy_quota;
-    noisy_quota = static_cast<size_t>(
-        std::floor(static_cast<double>(d + 1) * params.noisy_domain_fraction));
-    bool noisy = noisy_quota > prev;
-
-    size_t size_multiplier = 1;
-    if (params.skewed_large_domain && d == 0) {
-      size_multiplier = params.skew_factor;
-      noisy = false;
-    }
-
-    if (noisy) {
-      size_t num_pages = UniformIn(&rng, params.pages_per_section,
-                                   3 * params.pages_per_section) *
-                         std::max<size_t>(1, params.sections_per_domain);
-      for (size_t j = 0; j < num_pages; ++j) {
-        PageContent page;
-        page.url = host + StringPrintf("/post%zu.htm", j);
-        size_t num_entities =
-            UniformIn(&rng, 1, 2 * params.entities_per_page);
-        for (size_t k = 0; k < num_entities; ++k) {
-          rdf::TermId subject = dict->Intern(
-              StringPrintf("noise_d%zu_p%zu_e%zu", d, j, k));
-          const Vertical& vert = verticals[rng.Uniform(verticals.size())];
-          if (rng.Bernoulli(0.85)) {
-            page.facts.emplace_back(
-                subject, vert.category_pred,
-                dict->Intern(StringPrintf(
-                    "topic_%zu",
-                    static_cast<size_t>(rng.Uniform(kJunkCategories)))));
-          } else {
-            if (rng.Bernoulli(0.5)) {
-              page.facts.emplace_back(subject, vert.category_pred,
-                                      vert.name_value);
-            }
-            page.facts.emplace_back(
-                subject, vert.group_pred,
-                vert.group_values[rng.Uniform(vert.group_values.size())]);
-          }
-          for (size_t a = 0; a < vert.attr_pred_names.size(); ++a) {
-            if (!rng.Bernoulli(0.5)) continue;
-            std::string pred_name = vert.attr_pred_names[a];
-            if (open_ie && params.openie_paraphrases > 1) {
-              pred_name += StringPrintf(
-                  "_p%zu",
-                  static_cast<size_t>(rng.Uniform(params.openie_paraphrases)));
-            }
-            rdf::TermId value =
-                rng.Bernoulli(0.5)
-                    ? vert.attr_values[a][rng.Uniform(vert.attr_values[a].size())]
-                    : dict->Intern(StringPrintf(
-                          "mention_%llu",
-                          static_cast<unsigned long long>(rng.Next() %
-                                                          100000)));
-            page.facts.emplace_back(subject, dict->Intern(pred_name), value);
-          }
-        }
-        page.salience.assign(page.facts.size(), 1.0);
-        emit_page(page);
-      }
-      continue;
-    }
-
-    size_t num_sections =
-        UniformIn(&rng, 1, 2 * params.sections_per_domain) * size_multiplier;
-    for (size_t s = 0; s < num_sections; ++s) {
-      size_t vertical_index = vertical_rr++ % verticals.size();
-      const Vertical& vert = verticals[vertical_index];
-      rdf::TermId group_value =
-          vert.group_values[rng.Uniform(vert.group_values.size())];
-      std::string section_url = host + StringPrintf("/cat%zu", s);
-      size_t num_pages =
-          UniformIn(&rng, std::max<size_t>(2, params.pages_per_section / 2),
-                    params.pages_per_section * 3 / 2 + 1);
-      for (size_t j = 0; j < num_pages; ++j) {
-        PageContent page;
-        page.url = section_url + StringPrintf("/item%zu.htm", j);
-        size_t variant =
-            open_ie
-                ? rng.Uniform(std::max<size_t>(1, params.openie_paraphrases))
-                : 0;
-        size_t num_entities = UniformIn(
-            &rng, std::max<size_t>(1, params.entities_per_page / 2),
-            params.entities_per_page * 3 / 2 + 1);
-        for (size_t k = 0; k < num_entities; ++k) {
-          rdf::TermId subject = dict->Intern(
-              StringPrintf("ent_d%zu_s%zu_p%zu_e%zu", d, s, j, k));
-          page.facts.emplace_back(subject, vert.category_pred,
-                                  vert.name_value);
-          page.salience.push_back(kDefiningSalience);
-          page.facts.emplace_back(subject, vert.group_pred, group_value);
-          page.salience.push_back(kDefiningSalience);
-          for (size_t a = 0; a < vert.attr_pred_names.size(); ++a) {
-            if (!rng.Bernoulli(0.85)) continue;
-            std::string pred_name = vert.attr_pred_names[a];
-            if (open_ie && params.openie_paraphrases > 1) {
-              pred_name += StringPrintf("_p%zu", variant);
-            }
-            page.facts.emplace_back(
-                subject, dict->Intern(pred_name),
-                vert.attr_values[a][rng.Uniform(vert.attr_values[a].size())]);
-            page.salience.push_back(1.0);
-          }
-          if (rng.Bernoulli(0.5)) {
-            page.facts.emplace_back(
-                subject, vert.label_pred,
-                dict->Intern(StringPrintf("label_d%zu_s%zu_p%zu_e%zu", d, s,
-                                          j, k)));
-            page.salience.push_back(1.0);
-          }
-        }
-        emit_page(page);
-      }
-    }
+    model.Domain(d, [](const Section&) {}, emit_page);
   }
   return writer.Finish(
       dict->size(),

@@ -73,7 +73,10 @@ struct CorpusGenParams {
 /// standard, and ground-truth entity grouping for labeling.
 struct GeneratedCorpus {
   std::shared_ptr<rdf::Dictionary> dict;
-  /// Filtered extraction corpus (slice-discovery input).
+  /// Filtered extraction corpus (slice-discovery input), built by
+  /// extract::BuildCorpus, so its dedup index is empty: call
+  /// Corpus::RebuildDedupIndex before adding facts (DiscoveryService does;
+  /// no other caller adds facts to a generated corpus).
   std::unique_ptr<web::Corpus> corpus;
   /// The existing knowledge base E (true facts, per the coverage params).
   std::unique_ptr<rdf::KnowledgeBase> kb;
@@ -105,14 +108,17 @@ struct StreamedCorpusStats {
 /// Paper-scale generation: streams the synthetic corpus straight into a
 /// MIDASCOL1 columnar file (store/columnar.h) without ever materializing
 /// the fact set in memory — RAM stays O(dictionary + one page), so targets
-/// of 10^7-10^8 records are routine. Domains are generated with the same
-/// content model as GenerateCorpus until `target_records` post-threshold
-/// records have been written (always finishing the current domain), but no
-/// KB, silver standard, or entity grouping is produced, and the extraction
-/// RNG interleaves with content generation — the stream is deterministic in
-/// params.seed yet not byte-identical to GenerateCorpus's corpus.
-/// `params.num_domains` is ignored (the record target drives termination).
-/// Writes `path` and fills `stats` when non-null.
+/// of 10^7-10^8 records are routine. It runs GenerateCorpus's per-domain
+/// content model itself (one function in corpus_generator.cc), domain by
+/// domain until `target_records` post-threshold records have been written
+/// (always finishing the current domain). It skips the draws only
+/// GenerateCorpus makes — each section's gap flag and each page's
+/// KB-coverage Bernoullis — so it produces no KB, silver standard or entity
+/// grouping, and its extraction RNG, forked right after the ontology,
+/// interleaves with content generation page by page: the stream is
+/// deterministic in params.seed yet not byte-identical to GenerateCorpus's
+/// corpus. `params.num_domains` is ignored (the record target drives
+/// termination). Writes `path` and fills `stats` when non-null.
 Status StreamCorpusToColumnar(const CorpusGenParams& params,
                               uint64_t target_records,
                               const std::string& path,

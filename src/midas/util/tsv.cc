@@ -55,6 +55,10 @@ void AppendUnescaped(std::string_view field, std::string* out) {
           out->push_back('\\');
           ++i;
           continue;
+        case '#':
+          out->push_back('#');
+          ++i;
+          continue;
         default:
           break;
       }
@@ -98,6 +102,8 @@ void TsvAppendRow(std::initializer_list<std::string_view> fields,
   bool first = true;
   for (std::string_view field : fields) {
     if (!first) out->push_back('\t');
+    // A leading '#' would read back as a comment line.
+    if (first && !field.empty() && field[0] == '#') out->push_back('\\');
     first = false;
     AppendEscaped(field, out);
   }

@@ -6,6 +6,7 @@
 
 #include "common/test_dir.h"
 #include "midas/extract/dump_io.h"
+#include "midas/web/url.h"
 
 namespace midas {
 namespace extract {
@@ -77,6 +78,22 @@ TEST(DumpIoTest, SaveLoadRoundTrip) {
   EXPECT_EQ(loaded.facts[0].url, "http://x.com/a");
   EXPECT_EQ(loaded.dict->Term(loaded.facts[0].triple.subject), "Atlas");
   EXPECT_NEAR(loaded.facts[1].confidence, 0.72, 1e-6);
+  std::remove(path.c_str());
+}
+
+// A URL field that starts with '#' must not read back as a comment line.
+TEST(DumpIoTest, KeepsARowWhoseUrlStartsWithHash) {
+  std::string path = tests::TestDir() + "/dump_hash.tsv";
+  auto dump = MakeDump();
+  dump.facts.insert(dump.facts.begin(), dump.facts[0]);
+  dump.facts[0].url = "#fragment";
+  ASSERT_TRUE(SaveDump(path, dump).ok());
+
+  ExtractionDump loaded;
+  ASSERT_TRUE(LoadDump(path, &loaded).ok());
+  ASSERT_EQ(loaded.facts.size(), dump.facts.size());
+  EXPECT_EQ(loaded.facts[0].url, web::NormalizeUrl("#fragment"));
+  EXPECT_EQ(loaded.facts[1].url, "http://x.com/a");
   std::remove(path.c_str());
 }
 

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <string_view>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "common/test_dir.h"
 #include "midas/extract/columnar_io.h"
@@ -192,6 +197,121 @@ TEST(StreamCorpusToColumnarTest, StatsDescribeALoadableFile) {
   EXPECT_GT(corpus.NumFacts(), 0u);
   EXPECT_LE(corpus.NumFacts(), stats.records_written);
   EXPECT_EQ(fingerprint, reader.content_fingerprint());
+}
+
+// FNV-1a over length-prefixed strings and little-endian integers.
+class Fnv {
+ public:
+  void Add(uint64_t v) {
+    for (int i = 0; i < 8; ++i) Byte(static_cast<uint8_t>(v >> (8 * i)));
+  }
+  void Add(std::string_view s) {
+    Add(s.size());
+    for (char c : s) Byte(static_cast<uint8_t>(c));
+  }
+  void Add(const rdf::Triple& t) {
+    Add(t.subject);
+    Add(t.predicate);
+    Add(t.object);
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  void Byte(uint8_t b) { h_ = (h_ ^ b) * 1099511628211ull; }
+  uint64_t h_ = 14695981039346656037ull;
+};
+
+// Everything GenerateCorpus produces, in a fixed order.
+uint64_t CorpusDigest(const GeneratedCorpus& data) {
+  Fnv h;
+  h.Add(data.dict->size());
+  for (size_t i = 0; i < data.dict->size(); ++i) {
+    h.Add(data.dict->Term(static_cast<rdf::TermId>(i)));
+  }
+  h.Add(data.corpus->NumSources());
+  for (const auto& source : data.corpus->sources()) {
+    h.Add(source.url);
+    h.Add(source.facts.size());
+    for (const rdf::Triple& t : source.facts) h.Add(t);
+  }
+  h.Add(data.kb->size());
+  for (const rdf::Triple& t : data.kb->store().triples()) h.Add(t);
+  h.Add(data.silver.size());
+  for (const GroundTruthSlice& gt : data.silver.slices) {
+    h.Add(gt.source_url);
+    h.Add(gt.description);
+    for (const auto& [p, o] : gt.rule) {
+      h.Add(p);
+      h.Add(o);
+    }
+    h.Add(gt.entities.size());
+    for (rdf::TermId e : gt.entities) h.Add(e);
+    h.Add(gt.facts.size());
+    for (const rdf::Triple& t : gt.facts) h.Add(t);
+  }
+  std::vector<std::pair<rdf::TermId, uint32_t>> groups(
+      data.entity_group.begin(), data.entity_group.end());
+  std::sort(groups.begin(), groups.end());
+  h.Add(groups.size());
+  for (const auto& [subject, group] : groups) {
+    h.Add(subject);
+    h.Add(group);
+  }
+  h.Add(data.num_true_facts);
+  h.Add(data.num_extracted);
+  h.Add(data.num_filtered);
+  return h.value();
+}
+
+// Pins every draw of the content model, the KB coverage, the silver
+// standard and the extraction to fixed digests, so a refactor of the
+// generator cannot change a generated dataset unnoticed.
+TEST(CorpusGeneratorTest, PinnedDigests) {
+  const struct {
+    const char* name;
+    CorpusGenParams params;
+    uint64_t digest;
+  } kCases[] = {
+      {"nell", NellLikeParams(0.1), 0x8c82171a4b03de7dull},
+      {"reverb", ReVerbLikeParams(0.05), 0x95318ea04862c37bull},
+      {"kv", KnowledgeVaultLikeParams(0.2), 0x0e3a86feb11df10aull},
+      {"slim-nell", SlimParams(false, 20, 5), 0xd3f5ca29bc74e52cull},
+      {"slim-reverb", SlimParams(true, 20, 5), 0xccbbd560138a58a0ull},
+  };
+  for (const auto& c : kCases) {
+    EXPECT_EQ(CorpusDigest(GenerateCorpus(c.params)), c.digest) << c.name;
+  }
+}
+
+// Pins the streamed file for perfbench's ClosedIE shape and for an OpenIE
+// shape with a skewed first domain (paraphrase and skew draws).
+TEST(StreamCorpusToColumnarTest, PinnedFiles) {
+  CorpusGenParams closed = StreamParams(1);
+  closed.num_verticals = 768;
+  CorpusGenParams open = StreamParams(2);
+  open.mode = CorpusMode::kOpenIe;
+  open.openie_paraphrases = 6;
+  open.skewed_large_domain = true;
+  open.skew_factor = 3;
+  const struct {
+    const char* name;
+    CorpusGenParams params;
+    uint64_t fingerprint, records, urls, bytes;
+  } kCases[] = {
+      {"closedie", closed, 0xf2c6accb61a0dad6ull, 5211, 243, 959616},
+      {"openie_skewed", open, 0xcc9b8141402f4c7full, 5175, 222, 236032},
+  };
+  const std::string dir = tests::TestDir();
+  for (const auto& c : kCases) {
+    const std::string path = dir + "/" + c.name + ".midascol";
+    ASSERT_TRUE(StreamCorpusToColumnar(c.params, kStreamTarget, path).ok());
+    store::ColumnarReader reader;
+    ASSERT_TRUE(reader.Open(path).ok());
+    EXPECT_EQ(reader.content_fingerprint(), c.fingerprint) << c.name;
+    EXPECT_EQ(reader.num_records(), c.records) << c.name;
+    EXPECT_EQ(reader.num_urls(), c.urls) << c.name;
+    EXPECT_EQ(FileBytes(path).size(), c.bytes) << c.name;
+  }
 }
 
 }  // namespace

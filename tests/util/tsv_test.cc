@@ -90,6 +90,20 @@ TEST_F(TsvRowTest, AppendRowMatchesFormatRow) {
   EXPECT_EQ(ReadRows(path_), expected);
 }
 
+// A row's leading '#' is escaped, so the row does not read back as a
+// comment; '#' elsewhere is written as is, and \# decodes anywhere.
+TEST_F(TsvRowTest, LeadingHashRoundTrips) {
+  std::string contents;
+  TsvAppendRow({"#tag", "#x"}, &contents);
+  TsvAppendRow({"#"}, &contents);
+  EXPECT_EQ(contents, "\\#tag\t#x\n\\#\n");
+  contents += "a\\#b\n";
+  ASSERT_TRUE(TsvWriteFile(path_, contents).ok());
+  const std::vector<std::vector<std::string>> expected = {
+      {"#tag", "#x"}, {"#"}, {"a#b"}};
+  EXPECT_EQ(ReadRows(path_), expected);
+}
+
 class TsvFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -154,10 +168,11 @@ TEST_F(TsvFileTest, HandlesCrLf) {
     out << "a\tb\r\nc\td\r\n";
   }
   std::vector<std::vector<std::string>> read;
-  ASSERT_TRUE(TsvReadFile(path_, [&](size_t, const std::vector<std::string>& f) {
-                read.push_back(f);
-                return Status::OK();
-              }).ok());
+  ASSERT_TRUE(
+      TsvReadFile(path_, [&](size_t, const std::vector<std::string>& f) {
+        read.push_back(f);
+        return Status::OK();
+      }).ok());
   ASSERT_EQ(read.size(), 2u);
   EXPECT_EQ(read[0][1], "b");  // no trailing \r
 }
@@ -177,10 +192,11 @@ TEST_F(TsvFileTest, RowsOfChangingWidthYieldOnlyTheirOwnFields) {
   TsvAppendRow({rows[3][0], rows[3][1]}, &contents);
   ASSERT_TRUE(TsvWriteFile(path_, contents).ok());
   std::vector<std::vector<std::string>> read;
-  ASSERT_TRUE(TsvReadFile(path_, [&](size_t, const std::vector<std::string>& f) {
-                read.push_back(f);
-                return Status::OK();
-              }).ok());
+  ASSERT_TRUE(
+      TsvReadFile(path_, [&](size_t, const std::vector<std::string>& f) {
+        read.push_back(f);
+        return Status::OK();
+      }).ok());
   EXPECT_EQ(read, rows);
 }
 
@@ -190,10 +206,11 @@ TEST_F(TsvFileTest, LastLineWithoutNewline) {
     out << "a\tb\nc\td";
   }
   std::vector<std::vector<std::string>> read;
-  ASSERT_TRUE(TsvReadFile(path_, [&](size_t, const std::vector<std::string>& f) {
-                read.push_back(f);
-                return Status::OK();
-              }).ok());
+  ASSERT_TRUE(
+      TsvReadFile(path_, [&](size_t, const std::vector<std::string>& f) {
+        read.push_back(f);
+        return Status::OK();
+      }).ok());
   const std::vector<std::vector<std::string>> expected = {{"a", "b"},
                                                           {"c", "d"}};
   EXPECT_EQ(read, expected);
@@ -205,10 +222,11 @@ TEST_F(TsvFileTest, TrailingTabGivesEmptyLastField) {
     out << "a\tb\t\n\tx\t\r\n";
   }
   std::vector<std::vector<std::string>> read;
-  ASSERT_TRUE(TsvReadFile(path_, [&](size_t, const std::vector<std::string>& f) {
-                read.push_back(f);
-                return Status::OK();
-              }).ok());
+  ASSERT_TRUE(
+      TsvReadFile(path_, [&](size_t, const std::vector<std::string>& f) {
+        read.push_back(f);
+        return Status::OK();
+      }).ok());
   const std::vector<std::vector<std::string>> expected = {{"a", "b", ""},
                                                           {"", "x", ""}};
   EXPECT_EQ(read, expected);
@@ -221,10 +239,11 @@ TEST_F(TsvFileTest, EscapesInsideFieldsAreDecoded) {
         << "plain\tmixed \\\\t\\t end\\q\n";
   }
   std::vector<std::vector<std::string>> read;
-  ASSERT_TRUE(TsvReadFile(path_, [&](size_t, const std::vector<std::string>& f) {
-                read.push_back(f);
-                return Status::OK();
-              }).ok());
+  ASSERT_TRUE(
+      TsvReadFile(path_, [&](size_t, const std::vector<std::string>& f) {
+        read.push_back(f);
+        return Status::OK();
+      }).ok());
   const std::vector<std::vector<std::string>> expected = {
       {"tab\there", "line\nbreak", "back\\slash"},
       {"plain", "mixed \\t\t end\\q"}};
@@ -243,10 +262,11 @@ TEST_F(TsvFileTest, LineLongerThanTheReadBuffer) {
   TsvAppendRow({"after", "y"}, &contents);
   ASSERT_TRUE(TsvWriteFile(path_, contents).ok());
   std::vector<std::vector<std::string>> read;
-  ASSERT_TRUE(TsvReadFile(path_, [&](size_t, const std::vector<std::string>& f) {
-                read.push_back(f);
-                return Status::OK();
-              }).ok());
+  ASSERT_TRUE(
+      TsvReadFile(path_, [&](size_t, const std::vector<std::string>& f) {
+        read.push_back(f);
+        return Status::OK();
+      }).ok());
   EXPECT_EQ(read, rows);
 }
 
@@ -255,7 +275,9 @@ TEST_F(TsvFileTest, ManyRowsAcrossBufferBoundaries) {
   std::vector<std::vector<std::string>> rows;
   std::string contents;
   for (int i = 0; i < 20000; ++i) {
-    rows.push_back({std::to_string(i), std::string(static_cast<size_t>(i % 97), static_cast<char>('a' + i % 26)),
+    rows.push_back({std::to_string(i),
+                    std::string(static_cast<size_t>(i % 97),
+                                static_cast<char>('a' + i % 26)),
                     i % 5 == 0 ? "esc\t" + std::to_string(i) : "z"});
     TsvAppendRow({rows.back()[0], rows.back()[1], rows.back()[2]}, &contents);
   }

@@ -36,6 +36,7 @@
 #include "midas/util/logging.h"
 #include "midas/util/string_util.h"
 #include "midas/util/table_printer.h"
+#include "midas/util/tsv.h"
 
 namespace midas {
 namespace tools {
@@ -211,16 +212,16 @@ Status RunGenerate(const FlagParser& flags, std::ostream& out) {
 
   auto data = synth::GenerateCorpus(params);
 
-  // Dump: confidence 0.95 (the corpus is already confidence-filtered).
-  extract::ExtractionDump dump;
-  dump.dict = data.dict;
+  // Dump: confidence 0.95 (the corpus is already confidence-filtered),
+  // written straight from the corpus.
+  std::string rows;
   for (const auto& src : data.corpus->sources()) {
     for (const auto& t : src.facts) {
-      dump.facts.push_back(extract::ExtractedFact{src.url, t, 0.95});
+      extract::AppendDumpRow(src.url, t, 0.95, *data.dict, &rows);
     }
   }
-  MIDAS_RETURN_IF_ERROR(extract::SaveDump(dump_path, dump));
-  out << "wrote " << dump.facts.size() << " extraction records to "
+  MIDAS_RETURN_IF_ERROR(TsvWriteFile(dump_path, rows));
+  out << "wrote " << data.corpus->NumFacts() << " extraction records to "
       << dump_path << "\n";
 
   if (!flags.GetString("kb").empty()) {
@@ -532,9 +533,11 @@ Status RunDiscoverImpl(const FlagParser& flags, std::ostream& out,
                    static_cast<int64_t>(load_stats.rows_quarantined)));
     report.Set("seconds", JsonValue::Number(result.stats.seconds));
     report.Set("shards_failed",
-               JsonValue::Int(static_cast<int64_t>(result.stats.shards_failed)));
+               JsonValue::Int(
+                   static_cast<int64_t>(result.stats.shards_failed)));
     report.Set("shard_retries",
-               JsonValue::Int(static_cast<int64_t>(result.stats.shard_retries)));
+               JsonValue::Int(
+                   static_cast<int64_t>(result.stats.shard_retries)));
     report.Set("deadline_expirations",
                JsonValue::Int(
                    static_cast<int64_t>(result.stats.deadline_expirations)));
@@ -906,8 +909,10 @@ Status RunEvaluate(const FlagParser& flags, std::ostream& out) {
                                          flags.GetDouble("jaccard"));
   if (flags.GetBool("json")) {
     JsonValue report = JsonValue::Object();
-    report.Set("returned", JsonValue::Int(static_cast<int64_t>(scores.returned)));
-    report.Set("expected", JsonValue::Int(static_cast<int64_t>(scores.expected)));
+    report.Set("returned",
+               JsonValue::Int(static_cast<int64_t>(scores.returned)));
+    report.Set("expected",
+               JsonValue::Int(static_cast<int64_t>(scores.expected)));
     report.Set("matched", JsonValue::Int(static_cast<int64_t>(scores.matched)));
     report.Set("precision", JsonValue::Number(scores.precision));
     report.Set("recall", JsonValue::Number(scores.recall));

@@ -237,7 +237,8 @@ struct ShardExecutionContext {
 /// only the embarrassingly parallel middle: detect (+ consolidate) each
 /// prepared task. Contract: results->size() == tasks->size() on entry;
 /// fill results[i] and set ran for every task processed; stop early (leave
-/// ran = false) once ctx.cancel expires; never touch null-fact tasks.
+/// ran = false) once ctx.cancel expires; never touch null-fact tasks. A
+/// round that returned early on cancel is the executor's last.
 class ShardExecutor {
  public:
   virtual ~ShardExecutor() = default;

@@ -46,14 +46,6 @@ obs::Counter* WorkersLostCounter() {
   static obs::Counter* c = MIDAS_OBS_COUNTER("dist.workers_lost");
   return c;
 }
-obs::Counter* ZombieResultsCounter() {
-  static obs::Counter* c = MIDAS_OBS_COUNTER("dist.zombie_results_dropped");
-  return c;
-}
-obs::Counter* SpeculativeAssignsCounter() {
-  static obs::Counter* c = MIDAS_OBS_COUNTER("dist.speculative_assigns");
-  return c;
-}
 obs::Counter* RejoinsCounter() {
   static obs::Counter* c = MIDAS_OBS_COUNTER("dist.rejoins");
   return c;
@@ -93,8 +85,6 @@ DistCoordinator::DistCoordinator(const rdf::Dictionary* dict,
   (void)ReassignsCounter();
   (void)WorkerLossesCounter();
   (void)WorkersLostCounter();
-  (void)ZombieResultsCounter();
-  (void)SpeculativeAssignsCounter();
   (void)RejoinsCounter();
   (void)RespawnsCounter();
   (void)HeartbeatsCounter();
@@ -198,21 +188,11 @@ void DistCoordinator::LoseWorker(size_t widx, const std::string& why) {
   ++stats_.worker_losses;
   MIDAS_OBS_ADD(WorkerLossesCounter(), 1);
   if (worker.inflight_unit >= 0) {
-    const size_t unit = static_cast<size_t>(worker.inflight_unit);
-    const bool stale = worker.inflight_stale;
+    queue_.push_back(static_cast<size_t>(worker.inflight_unit));
     worker.inflight_unit = -1;
     worker.inflight_assignment = 0;
-    worker.inflight_stale = false;
-    if (stale) {
-      // The unit belongs to a previous round (its speculative twin already
-      // completed it); its index means nothing in this round's queue.
-    } else if (round_results_ != nullptr && (*round_results_)[unit].ran) {
-      // A speculative copy of this unit already finished; nothing to requeue.
-    } else {
-      queue_.push_back(unit);
-      ++stats_.reassigns;
-      MIDAS_OBS_ADD(ReassignsCounter(), 1);
-    }
+    ++stats_.reassigns;
+    MIDAS_OBS_ADD(ReassignsCounter(), 1);
   }
   worker.channel = FrameChannel();
   if (worker.pid > 0) {
@@ -275,65 +255,7 @@ bool DistCoordinator::SendAssign(size_t widx, size_t unit, uint32_t assignment,
   }
   worker->inflight_unit = static_cast<int64_t>(unit);
   worker->inflight_assignment = assignment;
-  worker->assigned_at_ms = NowMs();
   return true;
-}
-
-void DistCoordinator::SpeculateStragglers(
-    std::vector<core::ShardTask>* tasks,
-    std::vector<core::ShardTaskResult>* results) {
-  if (options_.speculative_ms <= 0 || !queue_.empty() || units_remaining_ == 0) {
-    return;
-  }
-  const int64_t now = NowMs();
-  for (size_t widx = 0; widx < workers_.size(); ++widx) {
-    Worker* idle = workers_[widx].get();
-    if (!idle->channel.valid() || !idle->hello_ok || idle->inflight_unit >= 0) {
-      continue;
-    }
-    // Oldest in-flight unit past the straggler deadline that is not done,
-    // not already duplicated, and still under its assignment budget.
-    int64_t best_unit = -1;
-    int64_t best_at = 0;
-    for (const auto& w : workers_) {
-      // inflight_stale units belong to a previous round: not stragglers here.
-      if (!w->channel.valid() || w->inflight_unit < 0 || w->inflight_stale) {
-        continue;
-      }
-      const size_t unit = static_cast<size_t>(w->inflight_unit);
-      if (now - w->assigned_at_ms < options_.speculative_ms) continue;
-      if ((*results)[unit].ran) continue;
-      if (unit_assignment_[unit] >= options_.max_unit_assignments) continue;
-      bool duplicated = false;
-      for (const auto& other : workers_) {
-        if (other.get() != w.get() && other->channel.valid() &&
-            !other->inflight_stale &&
-            other->inflight_unit == w->inflight_unit) {
-          duplicated = true;
-          break;
-        }
-      }
-      if (duplicated) continue;
-      if (best_unit < 0 || w->assigned_at_ms < best_at) {
-        best_unit = w->inflight_unit;
-        best_at = w->assigned_at_ms;
-      }
-    }
-    if (best_unit < 0) return;  // nothing eligible for any idle worker
-    const size_t unit = static_cast<size_t>(best_unit);
-    const uint32_t assignment = ++unit_assignment_[unit];
-    if (!SendAssign(widx, unit, assignment, tasks)) {
-      --unit_assignment_[unit];  // never delivered
-      continue;
-    }
-    // Counted apart from dist.assigns: speculative copies are extra
-    // deliveries of a unit someone else still owns, so folding them into
-    // assigns would break the assigns == results + reassigns books.
-    ++stats_.speculative_assigns;
-    MIDAS_OBS_ADD(SpeculativeAssignsCounter(), 1);
-    MIDAS_LOG(Info) << "dist: speculatively re-assigned straggler unit "
-                    << unit << " to " << idle->channel.label();
-  }
 }
 
 Status DistCoordinator::Listen() {
@@ -624,39 +546,12 @@ bool DistCoordinator::DispatchFrame(size_t widx, const std::string& payload,
         LoseWorker(widx, "work result for a unit/assignment it does not own");
         return false;
       }
+      // The worker holds this unit, assigned this round, and no other
+      // worker holds a copy: the result is the unit's one answer.
       const size_t unit = static_cast<size_t>(msg.unit);
-      const bool stale = worker.inflight_stale;
       worker.inflight_unit = -1;
       worker.inflight_assignment = 0;
-      worker.inflight_stale = false;
-      if (stale) {
-        // Cross-round zombie: a speculative twin completed this unit in a
-        // PREVIOUS round, so the ids echo a round whose arrays are gone.
-        // Applying it against the current round's unit index would merge a
-        // stale detection into the wrong shard — drop it, and only now let
-        // the worker take this round's work.
-        ++stats_.zombie_results_dropped;
-        MIDAS_OBS_ADD(ZombieResultsCounter(), 1);
-        MIDAS_LOG(Info) << "dist: dropped stale cross-round result for old unit "
-                        << unit << " from " << worker.channel.label();
-        return true;
-      }
-      if (unit >= results->size()) {
-        // Impossible for a non-stale assignment of this round; defensive.
-        LoseWorker(widx, "work result unit out of range");
-        return false;
-      }
       core::ShardTaskResult& res = (*results)[unit];
-      if (res.ran) {
-        // Zombie: a speculative twin of this unit finished first. Detection
-        // is deterministic per unit, so first-result-wins keeps the run
-        // bit-identical; the worker itself is healthy and stays pooled.
-        ++stats_.zombie_results_dropped;
-        MIDAS_OBS_ADD(ZombieResultsCounter(), 1);
-        MIDAS_LOG(Info) << "dist: dropped zombie result for unit " << unit
-                        << " from " << worker.channel.label();
-        return true;
-      }
       {
         // Span per completed shard, so dist runs keep the "every processed
         // source has a framework.source span" invariant in this process.
@@ -690,14 +585,9 @@ void DistCoordinator::ExecuteRound(const core::ShardExecutionContext& ctx,
   unit_assignment_.assign(tasks->size(), 0);
   units_done_ = 0;
   units_remaining_ = 0;
-  round_results_ = results;
-  // A worker can enter a round still computing the PREVIOUS round's unit
-  // (its speculative twin finished that round without it). Its recorded
-  // unit/assignment now refer to dead arrays: flag them so the eventual
-  // result is dropped as a zombie instead of applied at this round's index.
-  for (auto& w : workers_) {
-    if (w->inflight_unit >= 0) w->inflight_stale = true;
-  }
+  // Only a cancelled round returns with units in flight, and that round is
+  // the executor's last (core::ShardExecutor).
+  for (const auto& w : workers_) MIDAS_CHECK(w->inflight_unit < 0);
   for (size_t i = 0; i < tasks->size(); ++i) {
     if ((*tasks)[i].facts == nullptr) continue;  // restored/skipped shard
     queue_.push_back(i);
@@ -723,7 +613,6 @@ void DistCoordinator::ExecuteRound(const core::ShardExecutionContext& ctx,
       while (!queue_.empty()) {
         const size_t unit = queue_.back();
         queue_.pop_back();
-        if ((*results)[unit].ran) continue;  // finished while queued
         const uint32_t assignment = ++unit_assignment_[unit];
         if (assignment > options_.max_unit_assignments) {
           FailUnit(unit,
@@ -747,8 +636,6 @@ void DistCoordinator::ExecuteRound(const core::ShardExecutionContext& ctx,
       }
     }
 
-    SpeculateStragglers(tasks, results);
-
     // No one left to run the work and no one will ever join: abandon the
     // queue instead of spinning forever.
     const bool can_gain_workers =
@@ -758,7 +645,6 @@ void DistCoordinator::ExecuteRound(const core::ShardExecutionContext& ctx,
       while (!queue_.empty()) {
         const size_t unit = queue_.back();
         queue_.pop_back();
-        if ((*results)[unit].ran) continue;
         FailUnit(unit, "no workers available", tasks, results);
         --units_remaining_;
       }
@@ -780,10 +666,8 @@ void DistCoordinator::ExecuteRound(const core::ShardExecutionContext& ctx,
   // wire totals without scraping /metricz.
   MIDAS_LOG(Info) << "dist: round complete units_done=" << units_done_
                   << " assigns=" << stats_.assigns
-                  << " speculative=" << stats_.speculative_assigns
                   << " bytes_sent=" << FrameChannel::TotalBytesSent()
                   << " bytes_received=" << FrameChannel::TotalBytesReceived();
-  round_results_ = nullptr;
 }
 
 }  // namespace dist

@@ -40,9 +40,10 @@ namespace dist {
 ///    SIGSTOPped process, a partition) is declared lost the same way.
 ///    Workers heartbeat during unit execution, so a long detection is not
 ///    mistaken for death.
-///  - With liveness and speculation a unit can be in flight twice; the
-///    first WorkResult wins and any later copy is a zombie, discarded by
-///    the (unit, assignment) echo check — never merged twice.
+///  - A unit is in flight on at most one worker. A lost worker's channel
+///    is closed at once, so no late result of a requeued unit can arrive;
+///    a WorkResult whose (unit, assignment) echo differs from what its
+///    worker holds is a protocol violation and loses the worker.
 ///  - Self-forked workers are respawned (up to worker_respawn_limit) so a
 ///    crash matrix that kills every worker still completes. External
 ///    workers may join or REjoin mid-round (their Hello fingerprint is
@@ -91,12 +92,6 @@ struct DistOptions {
   /// Must comfortably exceed the workers' heartbeat interval.
   int worker_liveness_ms = 0;
 
-  /// Straggler mitigation: once the round's queue is empty, a unit still
-  /// in flight after this long is speculatively re-assigned (one extra
-  /// copy, bumped assignment id) to an idle worker; the first result wins
-  /// and the loser is discarded as a zombie. 0 disables speculation.
-  int speculative_ms = 0;
-
   /// Test hook, called after each WorkResult is applied with the total
   /// number of completed units this round. The kill-a-worker crash matrix
   /// uses it to SIGKILL a worker after exactly m completed units.
@@ -139,13 +134,11 @@ class DistCoordinator : public core::ShardExecutor {
 
   /// Mirror of the dist.* counters for direct assertions.
   struct Stats {
-    uint64_t assigns = 0;       // queue-driven deliveries (excl. speculative)
-    uint64_t results = 0;       // applied results (zombies excluded)
+    uint64_t assigns = 0;       // deliveries of a unit to a worker
+    uint64_t results = 0;       // applied results
     uint64_t reassigns = 0;     // re-queues after a delivered unit's loss
     uint64_t worker_losses = 0; // all losses (EOF, error, liveness, ...)
     uint64_t workers_lost = 0;  // the liveness-deadline subset of losses
-    uint64_t zombie_results_dropped = 0;
-    uint64_t speculative_assigns = 0;
     uint64_t rejoins = 0;       // external workers admitted after Start()
     uint64_t respawns = 0;
     uint64_t units_failed = 0;
@@ -161,13 +154,6 @@ class DistCoordinator : public core::ShardExecutor {
     bool hello_ok = false;
     int64_t inflight_unit = -1;  // -1: idle
     uint32_t inflight_assignment = 0;
-    /// The in-flight unit belongs to a PREVIOUS round: its speculative twin
-    /// finished the round while this worker was still computing. Its unit/
-    /// assignment ids are meaningless against the current round's arrays,
-    /// so the eventual result is dropped as a zombie (never applied, never
-    /// requeued) and only then does the worker take new work.
-    bool inflight_stale = false;
-    int64_t assigned_at_ms = 0;
     int64_t last_heard_ms = 0;
     size_t id = 0;
   };
@@ -192,10 +178,6 @@ class DistCoordinator : public core::ShardExecutor {
   void LoseWorker(size_t widx, const std::string& why);
   /// Declares silent workers lost once their liveness deadline passes.
   void SweepLiveness();
-  /// Hands out one speculative copy of the oldest eligible straggler unit
-  /// per idle worker (queue must be empty).
-  void SpeculateStragglers(std::vector<core::ShardTask>* tasks,
-                           std::vector<core::ShardTaskResult>* results);
   /// Encodes and sends `unit` to `worker` under `assignment`. On success
   /// records the in-flight state; on failure loses the worker (without
   /// requeueing `unit` — the caller owns that decision) and returns false.
@@ -224,7 +206,6 @@ class DistCoordinator : public core::ShardExecutor {
   std::vector<uint32_t> unit_assignment_;   // times each unit was handed out
   size_t units_done_ = 0;
   size_t units_remaining_ = 0;
-  std::vector<core::ShardTaskResult>* round_results_ = nullptr;
 };
 
 }  // namespace dist

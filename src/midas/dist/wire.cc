@@ -1,5 +1,6 @@
 #include "midas/dist/wire.h"
 
+#include "midas/store/byte_codec.h"
 #include "midas/store/checkpoint.h"
 
 namespace midas {
@@ -7,85 +8,17 @@ namespace dist {
 
 namespace {
 
+using store::AppendStr;
+using store::AppendU32;
+using store::AppendU64;
+using store::ByteCursor;
+
 /// Message strings (URLs, error texts, nested slice blobs) are bounded well
 /// below the 64 MiB record-payload cap; a longer length field is corrupt
 /// bytes, not data.
 constexpr uint32_t kMaxStringLen = 48u * 1024u * 1024u;
 
-void AppendU32(std::string* out, uint32_t v) {
-  char buf[4];
-  buf[0] = static_cast<char>(v & 0xffu);
-  buf[1] = static_cast<char>((v >> 8) & 0xffu);
-  buf[2] = static_cast<char>((v >> 16) & 0xffu);
-  buf[3] = static_cast<char>((v >> 24) & 0xffu);
-  out->append(buf, 4);
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  AppendU32(out, static_cast<uint32_t>(v & 0xffffffffu));
-  AppendU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-void AppendStr(std::string* out, std::string_view s) {
-  AppendU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s.data(), s.size());
-}
-
-/// Bounds-checked sequential reader over a message payload (same shape as
-/// the checkpoint codec's cursor; wire messages are fuzzed without CRC
-/// protection, so every read is length-guarded).
-class Cursor {
- public:
-  explicit Cursor(std::string_view data) : data_(data) {}
-
-  bool ReadU32(uint32_t* v) {
-    if (data_.size() - pos_ < 4) return false;
-    const auto* b = reinterpret_cast<const unsigned char*>(data_.data() + pos_);
-    *v = static_cast<uint32_t>(b[0]) | (static_cast<uint32_t>(b[1]) << 8) |
-         (static_cast<uint32_t>(b[2]) << 16) |
-         (static_cast<uint32_t>(b[3]) << 24);
-    pos_ += 4;
-    return true;
-  }
-
-  bool ReadU64(uint64_t* v) {
-    uint32_t lo = 0;
-    uint32_t hi = 0;
-    if (!ReadU32(&lo) || !ReadU32(&hi)) return false;
-    *v = static_cast<uint64_t>(lo) | (static_cast<uint64_t>(hi) << 32);
-    return true;
-  }
-
-  bool ReadStr(std::string* s) {
-    uint32_t len = 0;
-    if (!ReadU32(&len) || len > kMaxStringLen || data_.size() - pos_ < len) {
-      return false;
-    }
-    s->assign(data_.data() + pos_, len);
-    pos_ += len;
-    return true;
-  }
-
-  bool ReadByte(char* c) {
-    if (pos_ >= data_.size()) return false;
-    *c = data_[pos_++];
-    return true;
-  }
-
-  bool AtEnd() const { return pos_ == data_.size(); }
-
-  size_t remaining() const { return data_.size() - pos_; }
-
- private:
-  std::string_view data_;
-  size_t pos_ = 0;
-};
-
-bool PlausibleCount(const Cursor& cur, uint32_t count, size_t min_bytes) {
-  return count <= cur.remaining() / min_bytes;
-}
-
-bool ReadKindByte(Cursor* cur, MessageKind want) {
+bool ReadKindByte(ByteCursor* cur, MessageKind want) {
   char kind = 0;
   return cur->ReadByte(&kind) &&
          kind == static_cast<char>(static_cast<uint8_t>(want));
@@ -124,7 +57,7 @@ std::string EncodeHello(const HelloMsg& msg) {
 }
 
 Status DecodeHello(std::string_view payload, HelloMsg* out) {
-  Cursor cur(payload);
+  ByteCursor cur(payload, kMaxStringLen);
   *out = HelloMsg();
   if (!ReadKindByte(&cur, MessageKind::kHello) ||
       !cur.ReadU32(&out->protocol)) {
@@ -156,7 +89,7 @@ std::string EncodeWorkAssign(const WorkAssignMsg& msg,
 
 Status DecodeWorkAssign(std::string_view payload, const rdf::Dictionary& dict,
                         WorkAssignMsg* out) {
-  Cursor cur(payload);
+  ByteCursor cur(payload, kMaxStringLen);
   *out = WorkAssignMsg();
   char consolidate = 0;
   if (!ReadKindByte(&cur, MessageKind::kWorkAssign) || !cur.ReadU64(&out->unit) ||
@@ -169,7 +102,7 @@ Status DecodeWorkAssign(std::string_view payload, const rdf::Dictionary& dict,
   }
   out->consolidate = consolidate == '\1';
   uint32_t nsources = 0;
-  if (!cur.ReadU32(&nsources) || !PlausibleCount(cur, nsources, 4)) {
+  if (!cur.ReadU32(&nsources) || !cur.PlausibleCount(nsources, 4)) {
     return CorruptMsg("work_assign source count");
   }
   out->source_ids.resize(nsources);
@@ -199,7 +132,7 @@ std::string EncodeWorkResult(const WorkResultMsg& msg,
 
 Status DecodeWorkResult(std::string_view payload, const rdf::Dictionary& dict,
                         WorkResultMsg* out) {
-  Cursor cur(payload);
+  ByteCursor cur(payload, kMaxStringLen);
   *out = WorkResultMsg();
   uint32_t status = 0;
   if (!ReadKindByte(&cur, MessageKind::kWorkResult) || !cur.ReadU64(&out->unit) ||
@@ -227,7 +160,7 @@ std::string EncodeHeartbeat(const HeartbeatMsg& msg) {
 }
 
 Status DecodeHeartbeat(std::string_view payload, HeartbeatMsg* out) {
-  Cursor cur(payload);
+  ByteCursor cur(payload, kMaxStringLen);
   if (!ReadKindByte(&cur, MessageKind::kHeartbeat) ||
       !cur.ReadU64(&out->units_completed) || !cur.AtEnd()) {
     return CorruptMsg("heartbeat");
@@ -240,7 +173,7 @@ std::string EncodeShutdown() {
 }
 
 Status DecodeShutdown(std::string_view payload) {
-  Cursor cur(payload);
+  ByteCursor cur(payload, kMaxStringLen);
   if (!ReadKindByte(&cur, MessageKind::kShutdown) || !cur.AtEnd()) {
     return CorruptMsg("shutdown");
   }

@@ -48,10 +48,9 @@ namespace dist {
 /// ends only because of that check.
 
 /// Current protocol version, carried in Hello. v2 added
-/// WorkResult.assignment (the zombie check under requeues and speculative
-/// re-assignment); v4 names shards by corpus source id. A Hello from any
-/// other version decodes to its version alone, so the handshake rejects it
-/// by number instead of mistaking its body for corrupt bytes.
+/// WorkResult.assignment; v4 names shards by corpus source id. A Hello from
+/// any other version decodes to its version alone, so the handshake rejects
+/// it by number instead of mistaking its body for corrupt bytes.
 inline constexpr uint32_t kDistProtocolVersion = 4;
 
 enum class MessageKind : uint8_t {
@@ -86,9 +85,9 @@ struct WorkAssignMsg {
 
 struct WorkResultMsg {
   uint64_t unit = 0;
-  /// Echo of WorkAssignMsg::assignment — the coordinator's zombie check: a
-  /// result whose (unit, assignment) no longer matches what this worker
-  /// holds is discarded, never merged twice.
+  /// Echo of WorkAssignMsg::assignment. A result whose (unit, assignment)
+  /// differs from what its worker holds is a protocol violation, and the
+  /// coordinator loses the worker.
   uint32_t assignment = 1;
   core::SourceStatus status = core::SourceStatus::kCancelled;
   uint32_t attempts = 0;

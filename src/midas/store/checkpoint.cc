@@ -1,8 +1,9 @@
 #include "midas/store/checkpoint.h"
 
 #include <bit>
-#include <cstring>
 #include <optional>
+
+#include "midas/store/byte_codec.h"
 
 namespace midas {
 namespace store {
@@ -16,78 +17,11 @@ constexpr char kEntryTag = 'E';
 /// cap; a longer length field means corrupt bytes, not real data.
 constexpr uint32_t kMaxStringLen = 16u * 1024u * 1024u;
 
-void AppendU32(std::string* out, uint32_t v) {
-  char buf[4];
-  buf[0] = static_cast<char>(v & 0xffu);
-  buf[1] = static_cast<char>((v >> 8) & 0xffu);
-  buf[2] = static_cast<char>((v >> 16) & 0xffu);
-  buf[3] = static_cast<char>((v >> 24) & 0xffu);
-  out->append(buf, 4);
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  AppendU32(out, static_cast<uint32_t>(v & 0xffffffffu));
-  AppendU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-void AppendStr(std::string* out, std::string_view s) {
-  AppendU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s.data(), s.size());
-}
-
 void AppendTerm(std::string* out, rdf::TermId id, const rdf::Dictionary& dict) {
   AppendStr(out, dict.Term(id));
 }
 
-/// Bounds-checked sequential reader over a record payload.
-class Cursor {
- public:
-  explicit Cursor(std::string_view data) : data_(data) {}
-
-  bool ReadU32(uint32_t* v) {
-    if (data_.size() - pos_ < 4) return false;
-    const auto* b = reinterpret_cast<const unsigned char*>(data_.data() + pos_);
-    *v = static_cast<uint32_t>(b[0]) | (static_cast<uint32_t>(b[1]) << 8) |
-         (static_cast<uint32_t>(b[2]) << 16) |
-         (static_cast<uint32_t>(b[3]) << 24);
-    pos_ += 4;
-    return true;
-  }
-
-  bool ReadU64(uint64_t* v) {
-    uint32_t lo = 0;
-    uint32_t hi = 0;
-    if (!ReadU32(&lo) || !ReadU32(&hi)) return false;
-    *v = static_cast<uint64_t>(lo) | (static_cast<uint64_t>(hi) << 32);
-    return true;
-  }
-
-  bool ReadStr(std::string* s) {
-    uint32_t len = 0;
-    if (!ReadU32(&len) || len > kMaxStringLen || data_.size() - pos_ < len) {
-      return false;
-    }
-    s->assign(data_.data() + pos_, len);
-    pos_ += len;
-    return true;
-  }
-
-  bool ReadByte(char* c) {
-    if (pos_ >= data_.size()) return false;
-    *c = data_[pos_++];
-    return true;
-  }
-
-  bool AtEnd() const { return pos_ == data_.size(); }
-
-  size_t remaining() const { return data_.size() - pos_; }
-
- private:
-  std::string_view data_;
-  size_t pos_ = 0;
-};
-
-bool ReadTerm(Cursor* cur, const rdf::Dictionary& dict, rdf::TermId* id,
+bool ReadTerm(ByteCursor* cur, const rdf::Dictionary& dict, rdf::TermId* id,
               std::string* scratch) {
   if (!cur->ReadStr(scratch)) return false;
   const std::optional<rdf::TermId> found = dict.Lookup(*scratch);
@@ -120,19 +54,11 @@ void AppendSlice(std::string* payload, const core::DiscoveredSlice& slice,
   AppendU64(payload, std::bit_cast<uint64_t>(slice.profit));
 }
 
-/// Guards a decoded element count against the bytes actually present
-/// (min_bytes per element) before any resize: a corrupt count field must
-/// fail the decode, not drive a multi-gigabyte allocation. Wire-message
-/// payloads are fuzzed pre-CRC, so decoders cannot rely on framing alone.
-bool PlausibleCount(const Cursor& cur, uint32_t count, size_t min_bytes) {
-  return count <= cur.remaining() / min_bytes;
-}
-
-bool ReadSlice(Cursor* cur, const rdf::Dictionary& dict,
+bool ReadSlice(ByteCursor* cur, const rdf::Dictionary& dict,
                core::DiscoveredSlice* slice, std::string* scratch) {
   if (!cur->ReadStr(&slice->source_url)) return false;
   uint32_t count = 0;
-  if (!cur->ReadU32(&count) || !PlausibleCount(*cur, count, 8)) return false;
+  if (!cur->ReadU32(&count) || !cur->PlausibleCount(count, 8)) return false;
   slice->properties.resize(count);
   for (auto& prop : slice->properties) {
     if (!ReadTerm(cur, dict, &prop.predicate, scratch) ||
@@ -140,12 +66,12 @@ bool ReadSlice(Cursor* cur, const rdf::Dictionary& dict,
       return false;
     }
   }
-  if (!cur->ReadU32(&count) || !PlausibleCount(*cur, count, 4)) return false;
+  if (!cur->ReadU32(&count) || !cur->PlausibleCount(count, 4)) return false;
   slice->entities.resize(count);
   for (auto& entity : slice->entities) {
     if (!ReadTerm(cur, dict, &entity, scratch)) return false;
   }
-  if (!cur->ReadU32(&count) || !PlausibleCount(*cur, count, 12)) return false;
+  if (!cur->ReadU32(&count) || !cur->PlausibleCount(count, 12)) return false;
   slice->facts.resize(count);
   for (auto& fact : slice->facts) {
     if (!ReadTerm(cur, dict, &fact.subject, scratch) ||
@@ -205,9 +131,9 @@ std::string EncodeSliceList(const std::vector<core::DiscoveredSlice>& slices,
 Status DecodeSliceList(std::string_view payload, const rdf::Dictionary& dict,
                        std::vector<core::DiscoveredSlice>* out) {
   const Status corrupt = Status::Corruption("malformed slice list");
-  Cursor cur(payload);
+  ByteCursor cur(payload, kMaxStringLen);
   uint32_t num_slices = 0;
-  if (!cur.ReadU32(&num_slices) || !PlausibleCount(cur, num_slices, 4)) {
+  if (!cur.ReadU32(&num_slices) || !cur.PlausibleCount(num_slices, 4)) {
     return corrupt;
   }
   out->clear();
@@ -225,7 +151,7 @@ Status DecodeCheckpointEntry(std::string_view payload,
                              const rdf::Dictionary& dict,
                              CheckpointEntry* out) {
   const Status corrupt = Status::Corruption("malformed checkpoint entry");
-  Cursor cur(payload);
+  ByteCursor cur(payload, kMaxStringLen);
   char tag = 0;
   if (!cur.ReadByte(&tag) || tag != kEntryTag) return corrupt;
   *out = CheckpointEntry();
@@ -239,7 +165,7 @@ Status DecodeCheckpointEntry(std::string_view payload,
   }
   out->status = static_cast<core::SourceStatus>(status);
   uint32_t num_slices = 0;
-  if (!cur.ReadU32(&num_slices) || !PlausibleCount(cur, num_slices, 4)) {
+  if (!cur.ReadU32(&num_slices) || !cur.PlausibleCount(num_slices, 4)) {
     return corrupt;
   }
   std::string scratch;
@@ -264,7 +190,7 @@ StatusOr<CheckpointLoadResult> LoadCheckpoint(const std::string& path,
     // not resumable either.
     return Status::Corruption("checkpoint '" + path + "' has no header");
   }
-  Cursor header(read->records[0]);
+  ByteCursor header(read->records[0], kMaxStringLen);
   char tag = 0;
   uint32_t version = 0;
   uint64_t stored_fingerprint = 0;

@@ -13,6 +13,7 @@
 #include "midas/fault/fault.h"
 #include "midas/obs/obs.h"
 #include "midas/store/atomic_file.h"
+#include "midas/store/byte_codec.h"
 #include "midas/store/crc32.h"
 
 namespace midas {
@@ -22,21 +23,6 @@ namespace {
 
 std::string ErrnoMessage(const std::string& what, const std::string& path) {
   return what + " '" + path + "': " + std::strerror(errno);
-}
-
-uint32_t DecodeU32Le(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<uint32_t>(b[0]) | (static_cast<uint32_t>(b[1]) << 8) |
-         (static_cast<uint32_t>(b[2]) << 16) |
-         (static_cast<uint32_t>(b[3]) << 24);
-}
-
-void EncodeU32Le(uint32_t v, char* p) {
-  auto* b = reinterpret_cast<unsigned char*>(p);
-  b[0] = static_cast<unsigned char>(v & 0xffu);
-  b[1] = static_cast<unsigned char>((v >> 8) & 0xffu);
-  b[2] = static_cast<unsigned char>((v >> 16) & 0xffu);
-  b[3] = static_cast<unsigned char>((v >> 24) & 0xffu);
 }
 
 Status WriteAll(int fd, const char* data, size_t len, const std::string& path) {

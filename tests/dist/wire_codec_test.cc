@@ -17,27 +17,15 @@
 #include "midas/core/types.h"
 #include "midas/rdf/dictionary.h"
 #include "midas/rdf/triple.h"
+#include "midas/store/byte_codec.h"
 
 namespace midas {
 namespace dist {
 namespace {
 
-void AppendU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void AppendStr(std::string* out, const std::string& s) {
-  AppendU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
+using store::AppendStr;
+using store::AppendU32;
+using store::AppendU64;
 
 class WireCodecTest : public ::testing::Test {
  protected:

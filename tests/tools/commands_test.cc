@@ -240,6 +240,28 @@ TEST_F(CommandsTest, DiscoverWorkersHealCrashesBitIdentical) {
   EXPECT_EQ(StripSeconds(in_process), StripSeconds(healed));
   EXPECT_NE(healed.find("\"shards_failed\": 0"), std::string::npos);
 }
+
+// Self-forked workers heartbeat only for a liveness deadline: without
+// --worker_liveness_ms nothing reads a beat, so none is sent, even while a
+// unit outlasts the 1 s heartbeat interval. Each worker's first unit sleeps
+// 1.1 s (the spec is inherited at fork, and max_fires counts per process).
+TEST_F(CommandsTest, DiscoverWorkersHeartbeatOnlyForALivenessDeadline) {
+  Generate();
+  const std::string in_process = DiscoverJson({});
+  const std::string slow =
+      "--fault_spec=site=slow_shard,rate=1,seed=1,delay_ms=1100,max_fires=1";
+  obs::Counter* heartbeats = MIDAS_OBS_COUNTER("dist.heartbeats");
+  uint64_t before = heartbeats->Value();
+  const std::string quiet = DiscoverJson({"--workers=2", slow});
+  EXPECT_EQ(heartbeats->Value(), before);
+  EXPECT_EQ(StripSeconds(in_process), StripSeconds(quiet));
+
+  before = heartbeats->Value();
+  const std::string watched =
+      DiscoverJson({"--workers=2", "--worker_liveness_ms=5000", slow});
+  EXPECT_GT(heartbeats->Value(), before);
+  EXPECT_EQ(StripSeconds(in_process), StripSeconds(watched));
+}
 #endif  // MIDAS_FAULT_INJECTION
 
 // The run fingerprint binds the detector: a worker with another cost model

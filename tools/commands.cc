@@ -277,10 +277,6 @@ void RegisterDiscoverFlags(FlagParser* flags) {
                   "declare a worker lost after this many ms of silence and "
                   "re-queue its unit (0 = EOF-only loss detection; set well "
                   "above the workers' --heartbeat_ms)");
-  flags->AddInt64("speculative_ms", 0,
-                  "once the round queue drains, speculatively re-assign a "
-                  "unit still in flight after this many ms to an idle "
-                  "worker; first result wins (0 = off)");
   RegisterRobustnessFlags(flags);
   RegisterMetricsFlags(flags);
 }
@@ -462,8 +458,6 @@ Status RunDiscoverImpl(const FlagParser& flags, std::ostream& out,
         static_cast<size_t>(flags.GetInt64("worker_respawn_limit"));
     dist_options.worker_liveness_ms =
         static_cast<int>(flags.GetInt64("worker_liveness_ms"));
-    dist_options.speculative_ms =
-        static_cast<int>(flags.GetInt64("speculative_ms"));
     if (external_coordinator) {
       dist_options.listen_path = flags.GetString("listen");
       if (dist_options.listen_path.empty()) {
@@ -477,13 +471,18 @@ Status RunDiscoverImpl(const FlagParser& flags, std::ostream& out,
       dist_options.num_workers = static_cast<size_t>(workers);
       // detect is captured by VALUE: respawned workers fork from inside
       // framework.Run, long after this block's stack frame is gone.
-      dist_options.worker_main = [&setup, detect, fingerprint](int fd) {
+      // Heartbeats feed only the liveness deadline: without one, a worker
+      // would start and join a beater thread per unit that nothing reads.
+      const bool heartbeat = dist_options.worker_liveness_ms > 0;
+      dist_options.worker_main = [&setup, detect, fingerprint,
+                                  heartbeat](int fd) {
         dist::WorkerConfig config;
         config.corpus = &setup.corpus;
         config.detector = setup.detector.get();
         config.kb = setup.kb.get();
         config.detect = detect;
         config.fingerprint = fingerprint;
+        if (!heartbeat) config.heartbeat_interval_ms = 0;
         const Status worker_status = dist::RunWorkerLoop(fd, config);
         if (!worker_status.ok()) {
           MIDAS_LOG(Warning) << "dist: worker exiting on error: "
